@@ -2,15 +2,20 @@
 dimensions via the factorization recursion.
 
 Classical tensor products use Klimyk's formula over the full weight system of
-the smaller factor; level-ell fusion folds each classical component through
-the shifted affine Weyl group (Kac-Walton).  Genus-g dimensions are computed
-by the recursion N_g(vec) = sum_mu N_{g-1}(vec, mu, mu).
+the smaller factor.  Level-ell fusion (Kac-Walton) folds lam + rho + v, for
+every weight v of the smaller factor, in one pass through the shifted affine
+Weyl group.  Only rows over a fundamental domain of the simple current sigma
+are folded; the others follow from product(sigma a, b) = sigma product(a, b).
+The engines work in doubled-int coordinates; `Weight` objects appear only
+where rows leave a `FusionTable` and in its text cache.  Genus-g dimensions
+are computed by the recursion N_g(vec) = sum_mu N_{g-1}(vec, mu, mu).
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
+from operator import add, sub
 
 from .rootsys import (
     Weight,
@@ -101,26 +106,56 @@ def _affine_fold(x: tuple[int, ...], k2: int):
 
 @lru_cache(maxsize=None)
 def _fusion_product_dbl(lam_d, mu_d, r: int, ell: int) -> dict:
+    """Level-ell fusion row of a sorted doubled pair: {doubled nu: N}.
+
+    The simple current sigma(x) = (2 ell - x_1, x_2, ...) satisfies
+    product(sigma a, b) = sigma product(a, b), so a row with a factor above
+    the sigma fundamental domain (x_1 > ell) is read off the canonical row.
+    Canonical rows fold lam + rho + v for every weight v of the smaller
+    factor straight through the affine Weyl group.
+    """
+    ell2 = 2 * ell
+    twists = 0
+    if lam_d[0] > ell:
+        lam_d = (ell2 - lam_d[0],) + lam_d[1:]
+        twists += 1
+    if mu_d[0] > ell:
+        mu_d = (ell2 - mu_d[0],) + mu_d[1:]
+        twists += 1
+    if twists:
+        a, b = sorted((lam_d, mu_d))
+        row = _fusion_product_dbl(a, b, r, ell)
+        if twists == 2:
+            return row
+        return {(ell2 - k[0],) + k[1:]: n for k, n in row.items()}
     rho = _dbl_rho(r)
     k2 = 2 * (ell + 2 * r - 1)
-    acc: dict = {}
-    for nu_d, m in _tensor_product_dbl(lam_d, mu_d).items():
-        folded = _affine_fold(tuple(a + b for a, b in zip(nu_d, rho)), k2)
+    if _dim_dbl(mu_d) > _dim_dbl(lam_d):
+        lam_d, mu_d = mu_d, lam_d
+    shift = tuple(map(add, lam_d, rho))
+    acc: dict = {}  # alcove point nu + rho -> signed multiplicity
+    for v, m in _weight_system(mu_d):
+        folded = _affine_fold(tuple(map(add, shift, v)), k2)
         if folded is None:
             continue
         dom, sign = folded
-        key = tuple(a - b for a, b in zip(dom, rho))
-        acc[key] = acc.get(key, 0) + sign * m
-    out = {k: v for k, v in acc.items() if v}
+        acc[dom] = acc.get(dom, 0) + sign * m
+    out = {tuple(map(sub, k, rho)): v for k, v in acc.items() if v}
     assert all(v > 0 for v in out.values()), "Kac-Walton alternation went negative"
     return out
 
 
+def _check_weight(w: Weight, r: int, ell: int) -> None:
+    if w.rank != r:
+        raise ValueError(f"{w} has rank {w.rank}, expected rank {r}")
+    check_level(w, ell)
+
+
 def fusion_multiplicity(lam: Weight, mu: Weight, nu: Weight, ell: int) -> int:
     """Three-point genus-0 dimension N_{lam,mu,nu} at level ell."""
-    for w in (lam, mu, nu):
-        check_level(w, ell)
     r = lam.rank
+    for w in (lam, mu, nu):
+        _check_weight(w, r, ell)
     a, b, c = sorted([dbl(lam.coords), dbl(mu.coords), dbl(nu.coords)])
     return _fusion_product_dbl(a, b, r, ell).get(c, 0)
 
@@ -130,7 +165,8 @@ class FusionTable:
 
     The table is filled one product row at a time; computed rows can be
     persisted as a sorted text artifact, one line per entry "lam|mu|nu|N",
-    under a "B r level ell version 1" header.
+    under a "B r level ell version 1" header.  Rows are keyed by the sorted
+    pair of doubled coordinates; their entries are the table's own weights.
     """
 
     def __init__(self, r: int, ell: int, cache_dir: str | None = None):
@@ -138,6 +174,9 @@ class FusionTable:
         self.rank = r
         self.level = ell
         self.cache_dir = cache_dir
+        # doubled coordinates <-> Weight, for every weight of the table
+        self._weight_of = {dbl(w.coords): w for w in self.weights()}
+        self._dbl_of = {w: d for d, w in self._weight_of.items()}
         self._products: dict[tuple, dict] = {}
         self._memo_genus: dict = {}
         if cache_dir is not None:
@@ -150,15 +189,15 @@ class FusionTable:
         return enumerate_level(self.rank, self.level)
 
     def product(self, lam: Weight, mu: Weight) -> dict[Weight, int]:
-        check_level(lam, self.level)
-        check_level(mu, self.level)
-        key = tuple(sorted([lam.coords, mu.coords]))
+        _check_weight(lam, self.rank, self.level)
+        _check_weight(mu, self.rank, self.level)
+        a, b = self._dbl_of[lam], self._dbl_of[mu]
+        key = (a, b) if a <= b else (b, a)
         row = self._products.get(key)
         if row is None:
-            raw = _fusion_product_dbl(
-                dbl(key[0]), dbl(key[1]), self.rank, self.level
-            )
-            row = {Weight(undbl(k)): v for k, v in raw.items()}
+            weight_of = self._weight_of
+            raw = _fusion_product_dbl(key[0], key[1], self.rank, self.level)
+            row = {weight_of[k]: n for k, n in raw.items()}
             self._products[key] = row
         return row
 
@@ -172,6 +211,8 @@ class FusionTable:
         zero = Weight.zero(self.rank)
         while len(lams) < 3:
             lams.append(zero)
+        # product() checks the others
+        _check_weight(lams[-1], self.rank, self.level)
         vec = {lams[0]: 1}
         for mid in lams[1:-1]:
             new: dict = {}
@@ -218,31 +259,55 @@ class FusionTable:
             lines = fh.read().splitlines()
         if not lines or lines[0] != self._header():
             return  # version bump or foreign file: ignore, will be rebuilt
+        parsed: dict = {}  # cache text -> (doubled coords, Weight)
+
+        def parse(text):
+            entry = parsed.get(text)
+            if entry is None:
+                w = Weight.parse(text)
+                d = dbl(w.coords)
+                # a weight outside the table (a foreign line) is kept as read
+                entry = parsed[text] = (d, self._weight_of.setdefault(d, w))
+            return entry
+
+        products = self._products
         for line in lines[1:]:
             if not line.strip():
                 continue
             a, b, c, n = line.split("|")
-            lam, mu, nu = Weight.parse(a), Weight.parse(b), Weight.parse(c)
-            key = tuple(sorted([lam.coords, mu.coords]))
-            self._products.setdefault(key, {})
+            a_d, b_d, nu = parse(a)[0], parse(b)[0], parse(c)[1]
+            key = (a_d, b_d) if a_d <= b_d else (b_d, a_d)
+            row = products.setdefault(key, {})
             if int(n):
-                self._products[key][nu] = int(n)
+                row[nu] = int(n)
 
     def save(self) -> None:
+        """Write every row to the cache file atomically: a temporary file in
+        the same directory replaces the old one only once fully written."""
         path = self.cache_path
         if path is None:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
+        weight_of = self._weight_of
+        label = {w: str(w) for w in weight_of.values()}  # each formatted once
         lines = []
         for (a, b), row in self._products.items():
+            prefix = f"{label[weight_of[a]]}|{label[weight_of[b]]}|"
             for nu, n in row.items():
-                lines.append(f"{Weight(a)}|{Weight(b)}|{nu}|{n}")
+                lines.append(f"{prefix}{label[nu]}|{n}")
         lines.sort()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self._header() + "\n")
-            fh.write("\n".join(lines))
-            if lines:
-                fh.write("\n")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(self._header() + "\n")
+                fh.write("\n".join(lines))
+                if lines:
+                    fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
 
 class LevelOneTable:

@@ -51,6 +51,15 @@ class Weight:
         if not pars <= {1, 2} or len(pars) > 1:
             raise ValueError(f"coordinates must be all integral or all half-odd: {cs}")
 
+    def __hash__(self) -> int:
+        # weights key every fusion row, and Fraction hashing is slow: hash
+        # the (immutable) coordinates once per object
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.coords)
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def rank(self) -> int:
         return len(self.coords)

@@ -99,6 +99,14 @@ class TestExitCodes:
                    "--weights", "9,9"])
         assert rc == 1
 
+    def test_rank_mismatch_is_1(self, capsys):
+        rc = main(["fusion", "--rank", "3", "--level", "3",
+                   "--weights", "1,0;1,0;0,0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has rank 2, expected rank 3" in captured.err
+
     def test_engine_disagreement_is_2(self, capsys, monkeypatch):
         import thetablocks.cli as cli_mod
 

@@ -1,15 +1,21 @@
+import hashlib
 import itertools
+import os
 from fractions import Fraction as F
 
 import pytest
 
+from thetablocks import fusion
 from thetablocks.fusion import (
     FusionTable,
+    _affine_fold,
+    _fusion_product_dbl,
+    _tensor_product_dbl,
     fusion_multiplicity,
     level1_table,
     tensor_multiplicity,
 )
-from thetablocks.rootsys import Weight
+from thetablocks.rootsys import Weight, _dbl_rho, dbl
 from thetablocks.weights import LevelError, enumerate_level, sigma
 
 
@@ -112,12 +118,55 @@ class TestFusion:
             twisted = t.product(sigma(a, 5), sigma(b, 5))
             assert row == twisted, (a, b)
 
+    def test_rank_mismatch_raises(self):
+        w2, w3 = Weight.parse("1,0"), Weight.parse("1,0,0")
+        with pytest.raises(ValueError, match="expected rank 3"):
+            fusion_multiplicity(w3, w2, w3, 3)
+        t = FusionTable(3, 3)
+        with pytest.raises(ValueError, match="expected rank 3"):
+            t.product(w2, w3)
+        with pytest.raises(ValueError, match="expected rank 3"):
+            t.dim_genus0([w3, w3, w2])
+
     def test_full_s3_symmetry(self):
         t = FusionTable(2, 3)
         ws = t.weights()
         for a, b, c in itertools.product(ws, repeat=3):
             n = t.triple(a, b, c)
             assert n == t.triple(b, a, c) == t.triple(a, c, b) == t.triple(c, b, a)
+
+
+def two_step_row(a_d, b_d, r, ell):
+    """Reference fusion row: the classical Klimyk product, then each
+    component folded through the affine Weyl group on its own."""
+    rho = _dbl_rho(r)
+    k2 = 2 * (ell + 2 * r - 1)
+    acc = {}
+    for nu, m in _tensor_product_dbl(a_d, b_d).items():
+        folded = _affine_fold(tuple(x + y for x, y in zip(nu, rho)), k2)
+        if folded is None:
+            continue
+        dom, sign = folded
+        key = tuple(x - y for x, y in zip(dom, rho))
+        acc[key] = acc.get(key, 0) + sign * m
+    return {k: v for k, v in acc.items() if v}
+
+
+class TestReferenceRows:
+    @pytest.mark.parametrize("r, ell", [(2, 3), (2, 5), (3, 3), (3, 4)])
+    def test_rows_match_two_step_reference(self, r, ell):
+        t = FusionTable(r, ell)
+        for a, b in itertools.combinations_with_replacement(t.weights(), 2):
+            got = {dbl(nu.coords): n for nu, n in t.product(a, b).items()}
+            assert got == two_step_row(dbl(a.coords), dbl(b.coords), r, ell), (a, b)
+
+    @pytest.mark.parametrize("r, ell", [(2, 3), (2, 5), (3, 3), (3, 4)])
+    def test_simple_current_acts_on_rows(self, r, ell):
+        """product(sigma a, b) = sigma product(a, b) for every ordered pair."""
+        t = FusionTable(r, ell)
+        for a, b in itertools.product(t.weights(), repeat=2):
+            twisted = {sigma(nu, ell): n for nu, n in t.product(a, b).items()}
+            assert t.product(sigma(a, ell), b) == twisted, (a, b)
 
 
 class TestLevelOne:
@@ -197,8 +246,70 @@ class TestCache:
         assert lines[0] == "B 2 level 2 version 1"
         assert all(line.count("|") == 3 for line in lines[1:])
         assert lines[1:] == sorted(lines[1:])
+        info = _fusion_product_dbl.cache_info()
         t2 = FusionTable(2, 2, cache_dir=str(tmp_path))
-        assert t2._products[tuple(sorted([a.coords, b.coords]))] == row
+        assert len(t2._products) == 1
+        assert t2.product(b, a) == row
+        after = _fusion_product_dbl.cache_info()
+        assert after.hits + after.misses == info.hits + info.misses  # not recomputed
+
+    def test_full_table_file_and_reload(self, tmp_path):
+        """The so(5) level-5 file is pinned byte for byte; a fresh table
+        answers every row from it without computing any."""
+        t = FusionTable(2, 5, cache_dir=str(tmp_path))
+        pairs = list(itertools.combinations_with_replacement(t.weights(), 2))
+        rows = {(a, b): t.product(a, b) for a, b in pairs}
+        t.save()
+        with open(t.cache_path, "rb") as fh:
+            sha = hashlib.sha256(fh.read()).hexdigest()
+        assert sha == "c8e4c3b9d45f3b10ef8373fea57b30828cd13da8b88573c9c905ace3717fb5c6"
+        info = _fusion_product_dbl.cache_info()
+        t2 = FusionTable(2, 5, cache_dir=str(tmp_path))
+        assert len(t2._products) == len(pairs)
+        for (a, b), row in rows.items():
+            assert t2.product(a, b) == row, (a, b)
+        after = _fusion_product_dbl.cache_info()
+        assert after.misses == info.misses
+        assert after.hits == info.hits
+
+    def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch):
+        t = FusionTable(2, 3, cache_dir=str(tmp_path))
+        w = t.weights()
+        t.product(w[1], w[1])
+        t.save()
+        with open(t.cache_path, "rb") as fh:
+            before = fh.read()
+        for a, b in itertools.combinations_with_replacement(w, 2):
+            t.product(a, b)
+
+        class DiskFull:
+            """A file that takes half of the first write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("no space left on device")
+
+        real_open = open
+        monkeypatch.setattr(
+            fusion, "open", lambda *a, **k: DiskFull(real_open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError, match="no space left"):
+            t.save()
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == [os.path.basename(t.cache_path)]
+        with open(t.cache_path, "rb") as fh:
+            assert fh.read() == before
+        t2 = FusionTable(2, 3, cache_dir=str(tmp_path))
+        assert len(t2._products) == 1
 
     def test_version_bump_invalidates(self, tmp_path):
         t = FusionTable(2, 2, cache_dir=str(tmp_path))
