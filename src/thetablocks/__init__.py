@@ -15,13 +15,10 @@ from .branching import (
     trace_anomaly,
 )
 from .fusion import (
+    FusionRing,
     FusionTable,
     LevelOneTable,
-    dim_genus0,
-    dim_genus_g,
     fusion_multiplicity,
-    get_table,
-    level1_table,
     tensor_multiplicity,
 )
 from .rootsys import (

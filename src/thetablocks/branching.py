@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fusion import get_table, level1_table
+from .fusion import FusionTable, LevelOneTable
 from .rootsys import Weight, killing_form, require_rank, root_system
 from .weights import (
     check_level,
@@ -200,7 +200,8 @@ def ranklevel_report(
     Each point must carry a branching pair (lam_i, mu_i) in B(Lambda_i); with
     strict=False a failed admissibility check is recorded in the certificate
     instead of raised.  The level-one block dimension must be 1 for the
-    rank-level map to be defined up to scalar.
+    rank-level map to be defined up to scalar.  With a cache_dir, the two
+    fusion tables are read from it and saved back to it before returning.
     """
     p = EmbeddingParams(r, s)
     source = tuple(source)
@@ -218,12 +219,14 @@ def ranklevel_report(
             certs.append(msg)
         else:
             certs.append(rule)
-    ring_l = get_table(r, p.levels[0], cache_dir)
-    ring_r = get_table(s, p.levels[1], cache_dir)
-    ring_1 = level1_table(p.d)
+    ring_l = FusionTable(r, p.levels[0], cache_dir)
+    ring_r = FusionTable(s, p.levels[1], cache_dir)
+    ring_1 = LevelOneTable(p.d)
     dim_source = ring_l.dim_genus0(source)
     dim_target = ring_r.dim_genus0(target)
     dim_level1 = ring_1.dim_genus0([lambda_weight(L, p.d) for L in Lambdas])
+    ring_l.save()
+    ring_r.save()
     return RankLevelReport(
         r, s, source, target, Lambdas, dim_source, dim_target, dim_level1, tuple(certs)
     )

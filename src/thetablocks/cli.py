@@ -66,15 +66,18 @@ def parse_weights(text: str) -> list[Weight]:
 
 
 def _dims_both(g, lams, r, ell, method, cache_dir, dps):
-    exact = trig = None
+    exact = trig = table = None
     if method in ("exact", "both"):
-        exact = fusion.get_table(r, ell, cache_dir).dim_genus_g(g, lams)
+        table = fusion.FusionTable(r, ell, cache_dir)
+        exact = table.dim_genus_g(g, lams)
     if method in ("trig", "both"):
         trig = verlinde.dim_trig(g, lams, r, ell, dps)
     if method == "both" and exact != trig:
         raise EngineDisagreement(
             f"fusion gives {exact}, trig gives {trig} for genus {g}, {lams}"
         )
+    if table is not None:
+        table.save()
     return exact if exact is not None else trig, exact, trig
 
 
@@ -251,15 +254,16 @@ def cmd_theta_counts(args) -> Report:
     )
 
 
-def _golden_checks(cache_dir, dps):
-    """Yield (name, ok, detail) for the bundled golden-number suite."""
-    t2 = fusion.get_table(2, 1)
+def _golden_checks(tab, cache_dir, dps):
+    """Yield (name, ok, detail) for the bundled golden-number suite; `tab` is
+    the so(5) level-3 table of the dual-oracle check."""
+    t2 = fusion.FusionTable(2, 1)
     for g in range(2, 6):
         got = t2.dim_genus_g(g, [Weight.fundamental(2, 1)])
         want = 2 ** (g - 1) * (2 ** g - 1)
         yield f"N_{g}(omega_1, level 1) = {want}", got == want, f"got {got}"
     for r in (2, 5):
-        ring = fusion.level1_table(r)
+        ring = fusion.LevelOneTable(r)
         ok = True
         for g in range(0, 4):
             for n in range(1, 4):
@@ -284,7 +288,6 @@ def _golden_checks(cache_dir, dps):
         got = (rep.dim_source, rep.dim_target, rep.dim_level1)
         yield f"rank-level failure example {n}: dims {want}", got == want, f"got {got}"
     ok = True
-    tab = fusion.get_table(2, 3, cache_dir)
     for a in tab.weights():
         for b in tab.weights():
             for c in tab.weights():
@@ -321,8 +324,9 @@ def _golden_checks(cache_dir, dps):
 
 
 def cmd_paper_check(args):
+    tab = fusion.FusionTable(2, 3, args.cache_dir)
     failures = 0
-    for name, ok, detail in _golden_checks(args.cache_dir, args.precision):
+    for name, ok, detail in _golden_checks(tab, args.cache_dir, args.precision):
         status = "PASS" if ok else "FAIL"
         extra = f"   [{detail}]" if detail and not ok else ""
         print(f"{status}  {name}{extra}")
@@ -331,6 +335,7 @@ def cmd_paper_check(args):
     if failures:
         print(f"{failures} golden check(s) FAILED")
         raise SystemExit(EXIT_DISAGREE)
+    tab.save()
     print("all golden checks passed")
     return None
 
@@ -423,22 +428,12 @@ def main(argv=None) -> int:
     except blocks.UnreducibleError as exc:
         print(f"UNREDUCIBLE: {exc}", file=sys.stderr)
         return EXIT_UNREDUCIBLE
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:  # OSError: cache I/O
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if report is not None:
         print(report.rendered(args.json))
-    _save_tables(args)
     return 0
-
-
-def _save_tables(args) -> None:
-    cache_dir = getattr(args, "cache_dir", None)
-    if not cache_dir:
-        return
-    for table in fusion.OPEN_TABLES:
-        if table.cache_dir == cache_dir:
-            table.save()
 
 
 if __name__ == "__main__":

@@ -7,8 +7,12 @@ every weight v of the smaller factor, in one pass through the shifted affine
 Weyl group.  Only rows over a fundamental domain of the simple current sigma
 are folded; the others follow from product(sigma a, b) = sigma product(a, b).
 The engines work in doubled-int coordinates; `Weight` objects appear only
-where rows leave a `FusionTable` and in its text cache.  Genus-g dimensions
-are computed by the recursion N_g(vec) = sum_mu N_{g-1}(vec, mu, mu).
+where rows leave a `FusionTable` and in its text cache.
+
+`FusionRing` holds the genus engine, with genus-g dimensions from the
+recursion N_g(vec) = sum_mu N_{g-1}(vec, mu, mu), that `FusionTable`
+(Kac-Walton, optional disk cache) and `LevelOneTable` share.  Whoever builds
+a table owns it, and calls `save()` to persist its rows.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ from .weights import check_level, enumerate_level
 
 CACHE_VERSION = 1
 _MAX_AFFINE_FOLDS = 10_000
-
-# every constructed FusionTable, so CLI runs can flush caches at exit
-OPEN_TABLES: list = []
 
 
 @lru_cache(maxsize=None)
@@ -160,46 +161,19 @@ def fusion_multiplicity(lam: Weight, mu: Weight, nu: Weight, ell: int) -> int:
     return _fusion_product_dbl(a, b, r, ell).get(c, 0)
 
 
-class FusionTable:
-    """Fusion multiplicities of so(2r+1) at level ell, with optional disk cache.
+class FusionRing:
+    """A fusion ring of so(2r+1) at level ell and its genus engine.
 
-    The table is filled one product row at a time; computed rows can be
-    persisted as a sorted text artifact, one line per entry "lam|mu|nu|N",
-    under a "B r level ell version 1" header.  Rows are keyed by the sorted
-    pair of doubled coordinates; their entries are the table's own weights.
+    Subclasses supply `weights()` and `product(lam, mu)` -> {nu: N}; the
+    three-point, n-point genus-0 and genus-g dimensions are computed here
+    from `product` alone, memoizing genus-g values per instance.
     """
 
-    def __init__(self, r: int, ell: int, cache_dir: str | None = None):
+    def __init__(self, r: int, ell: int):
         require_rank(r)
         self.rank = r
         self.level = ell
-        self.cache_dir = cache_dir
-        # doubled coordinates <-> Weight, for every weight of the table
-        self._weight_of = {dbl(w.coords): w for w in self.weights()}
-        self._dbl_of = {w: d for d, w in self._weight_of.items()}
-        self._products: dict[tuple, dict] = {}
         self._memo_genus: dict = {}
-        if cache_dir is not None:
-            self._load()
-        OPEN_TABLES.append(self)
-
-    # -- ring interface -------------------------------------------------
-
-    def weights(self) -> tuple[Weight, ...]:
-        return enumerate_level(self.rank, self.level)
-
-    def product(self, lam: Weight, mu: Weight) -> dict[Weight, int]:
-        _check_weight(lam, self.rank, self.level)
-        _check_weight(mu, self.rank, self.level)
-        a, b = self._dbl_of[lam], self._dbl_of[mu]
-        key = (a, b) if a <= b else (b, a)
-        row = self._products.get(key)
-        if row is None:
-            weight_of = self._weight_of
-            raw = _fusion_product_dbl(key[0], key[1], self.rank, self.level)
-            row = {weight_of[k]: n for k, n in raw.items()}
-            self._products[key] = row
-        return row
 
     def triple(self, lam: Weight, mu: Weight, nu: Weight) -> int:
         return self.product(lam, mu).get(nu, 0)
@@ -238,11 +212,51 @@ class FusionTable:
             self._memo_genus[key] = val
         return val
 
+
+class FusionTable(FusionRing):
+    """Fusion multiplicities of so(2r+1) at level ell, with optional disk cache.
+
+    The table is filled one product row at a time; computed rows can be
+    persisted as a sorted text artifact, one line per entry "lam|mu|nu|N",
+    under a "B r level ell version 1" header.  Rows are keyed by the sorted
+    pair of doubled coordinates; their entries are the table's own weights.
+    A table with a `cache_dir` reads the cache file when built and writes it
+    only when its owner calls `save()`.
+    """
+
+    def __init__(self, r: int, ell: int, cache_dir: str | None = None):
+        super().__init__(r, ell)
+        self.cache_dir = cache_dir
+        # doubled coordinates <-> Weight, for every weight of the table
+        self._weight_of = {dbl(w.coords): w for w in self.weights()}
+        self._dbl_of = {w: d for d, w in self._weight_of.items()}
+        self._products: dict[tuple, dict] = {}
+        if cache_dir:
+            self._load()
+
+    def weights(self) -> tuple[Weight, ...]:
+        return enumerate_level(self.rank, self.level)
+
+    def product(self, lam: Weight, mu: Weight) -> dict[Weight, int]:
+        _check_weight(lam, self.rank, self.level)
+        _check_weight(mu, self.rank, self.level)
+        a, b = self._dbl_of[lam], self._dbl_of[mu]
+        key = (a, b) if a <= b else (b, a)
+        row = self._products.get(key)
+        if row is None:
+            weight_of = self._weight_of
+            raw = _fusion_product_dbl(key[0], key[1], self.rank, self.level)
+            row = {weight_of[k]: n for k, n in raw.items()}
+            self._products[key] = row
+        return row
+
     # -- persistence ----------------------------------------------------
 
     @property
     def cache_path(self) -> str | None:
-        if self.cache_dir is None:
+        """The cache file, or None for a table without a cache directory
+        (`save` is then a no-op)."""
+        if not self.cache_dir:
             return None
         return os.path.join(
             self.cache_dir, f"B{self.rank}_level{self.level}.fusion.txt"
@@ -252,6 +266,10 @@ class FusionTable:
         return f"B {self.rank} level {self.level} version {CACHE_VERSION}"
 
     def _load(self) -> None:
+        """Read the rows of the cache file.  A file with another header, or
+        with any line that is not "lam|mu|nu|N" over weights of this table
+        with an integer N >= 0, is ignored as a whole (with one warning for a
+        bad line); the next `save` replaces it."""
         path = self.cache_path
         if path is None or not os.path.exists(path):
             return
@@ -259,27 +277,40 @@ class FusionTable:
             lines = fh.read().splitlines()
         if not lines or lines[0] != self._header():
             return  # version bump or foreign file: ignore, will be rebuilt
-        parsed: dict = {}  # cache text -> (doubled coords, Weight)
+        weight_of = self._weight_of
+        parsed: dict = {}  # cache text -> doubled coords
 
         def parse(text):
-            entry = parsed.get(text)
-            if entry is None:
-                w = Weight.parse(text)
-                d = dbl(w.coords)
-                # a weight outside the table (a foreign line) is kept as read
-                entry = parsed[text] = (d, self._weight_of.setdefault(d, w))
-            return entry
+            d = parsed.get(text)
+            if d is None:
+                d = dbl(Weight.parse(text).coords)
+                if d not in weight_of:
+                    raise ValueError(f"{text} is not a weight of this table")
+                parsed[text] = d
+            return d
 
-        products = self._products
-        for line in lines[1:]:
+        products: dict = {}
+        for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            a, b, c, n = line.split("|")
-            a_d, b_d, nu = parse(a)[0], parse(b)[0], parse(c)[1]
+            try:
+                a, b, c, n = line.split("|")
+                a_d, b_d, nu = parse(a), parse(b), weight_of[parse(c)]
+                n = int(n)
+                if n < 0:
+                    raise ValueError(f"negative multiplicity {n}")
+            except (ValueError, ArithmeticError) as exc:
+                import logging  # only on this path: keeps it off CLI start-up
+
+                logging.getLogger(__name__).warning(
+                    "%s:%d: bad cache line (%s); ignoring the file", path, lineno, exc
+                )
+                return
             key = (a_d, b_d) if a_d <= b_d else (b_d, a_d)
             row = products.setdefault(key, {})
-            if int(n):
-                row[nu] = int(n)
+            if n:
+                row[nu] = n
+        self._products = products
 
     def save(self) -> None:
         """Write every row to the cache file atomically: a temporary file in
@@ -310,19 +341,16 @@ class FusionTable:
             raise
 
 
-class LevelOneTable:
+class LevelOneTable(FusionRing):
     """Closed-form level-one fusion ring of so(2d+1) on {omega_0, omega_1,
     omega_d}: omega_1 x omega_1 = omega_0, omega_1 x omega_d = omega_d,
     omega_d x omega_d = omega_0 + omega_1 (Ising-type rules)."""
 
     def __init__(self, d: int):
-        require_rank(d)
-        self.rank = d
-        self.level = 1
+        super().__init__(d, 1)
         self._w0 = Weight.zero(d)
         self._w1 = Weight.fundamental(d, 1)
         self._wd = Weight.fundamental(d, d)
-        self._memo_genus: dict = {}
 
     def weights(self) -> tuple[Weight, ...]:
         return (self._w0, self._w1, self._wd)
@@ -341,26 +369,3 @@ class LevelOneTable:
         if wd in (lam, mu) and w1 in (lam, mu):
             return {wd: 1}
         return {w0: 1, w1: 1}
-
-    def triple(self, lam: Weight, mu: Weight, nu: Weight) -> int:
-        return self.product(lam, mu).get(nu, 0)
-
-    dim_genus0 = FusionTable.dim_genus0
-    dim_genus_g = FusionTable.dim_genus_g
-
-
-@lru_cache(maxsize=None)
-def get_table(r: int, ell: int, cache_dir: str | None = None) -> FusionTable:
-    return FusionTable(r, ell, cache_dir)
-
-
-def level1_table(d: int) -> LevelOneTable:
-    return LevelOneTable(d)
-
-
-def dim_genus0(lams, r: int, ell: int, cache_dir: str | None = None) -> int:
-    return get_table(r, ell, cache_dir).dim_genus0(lams)
-
-
-def dim_genus_g(g: int, lams, r: int, ell: int, cache_dir: str | None = None) -> int:
-    return get_table(r, ell, cache_dir).dim_genus_g(g, lams)

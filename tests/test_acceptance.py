@@ -36,7 +36,7 @@ from thetablocks.fock import (
     vacuum,
 )
 from thetablocks.fock.algebra import bracket, invariant_form
-from thetablocks.fusion import FusionTable, level1_table
+from thetablocks.fusion import FusionTable, LevelOneTable
 from thetablocks.rootsys import (
     Weight,
     orbit_size,
@@ -64,7 +64,7 @@ def announce(number, title, started):
 def test_acceptance_01_level_one_closed_forms():
     started = time.monotonic()
     for r in (2, 5):
-        ring = level1_table(r)
+        ring = LevelOneTable(r)
         w1 = Weight.fundamental(r, 1)
         wr = Weight.fundamental(r, r)
         for g in range(2, 6):

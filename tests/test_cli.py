@@ -3,6 +3,14 @@ import json
 import pytest
 
 from thetablocks.cli import main
+from thetablocks.fusion import FusionTable
+from thetablocks.rootsys import Weight
+
+
+@pytest.fixture(autouse=True)
+def _run_in_tmp(tmp_path, monkeypatch):
+    """Keep the default cache directory out of the source checkout."""
+    monkeypatch.chdir(tmp_path)
 
 
 def run(capsys, *argv):
@@ -152,3 +160,53 @@ class TestCacheDeterminism:
         run(capsys, *argv)
         blob2 = (tmp_path / "B2_level2.fusion.txt").read_bytes()
         assert blob1 == blob2
+
+    def test_bad_cache_line_is_ignored(self, capsys, caplog, tmp_path):
+        argv = ["ranklevel", "--example", "1", "--cache-dir", str(tmp_path)]
+        rc, cold = run(capsys, *argv)
+        assert rc == 0
+        path = tmp_path / "B2_level7.fusion.txt"
+        bad = "this line is not a cache entry"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+        rc, again = run(capsys, *argv)
+        assert rc == 0
+        assert again == cold
+        assert "bad cache line" in caplog.text
+        assert bad not in path.read_text(encoding="utf-8")  # saved afresh
+
+    def test_unusable_cache_dir_is_1(self, capsys, tmp_path):
+        (tmp_path / "plain").write_text("")
+        rc = main([
+            "fusion", "--rank", "2", "--level", "2", "--weights", "1,0;1,0;1,1",
+            "--cache-dir", str(tmp_path / "plain" / "sub"),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_each_invocation_saves_only_its_own_table(self, capsys, tmp_path):
+        """A table opened elsewhere in the process is not re-saved over the
+        rows a later invocation computed."""
+        d = str(tmp_path)
+        step1 = "1,0;1,0;0,0"
+        step3 = "1/2,1/2;1/2,1/2;0,0"
+        w = Weight.parse("1,1")
+
+        def run_fusion(weights):
+            argv = ["fusion", "--rank", "2", "--level", "3", "--weights", weights]
+            assert main(argv + ["--cache-dir", d]) == 0
+
+        run_fusion(step1)
+        other = FusionTable(2, 3, d)
+        other.product(w, w)
+        other.save()
+        run_fusion(step3)
+        capsys.readouterr()
+        want = FusionTable(2, 3)
+        for weights in (step1, step3):
+            want.dim_genus_g(0, [Weight.parse(x) for x in weights.split(";")])
+        want.product(w, w)
+        assert FusionTable(2, 3, d)._products == want._products

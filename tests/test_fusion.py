@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import itertools
+import logging
 import os
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -8,11 +11,11 @@ import pytest
 from thetablocks import fusion
 from thetablocks.fusion import (
     FusionTable,
+    LevelOneTable,
     _affine_fold,
     _fusion_product_dbl,
     _tensor_product_dbl,
     fusion_multiplicity,
-    level1_table,
     tensor_multiplicity,
 )
 from thetablocks.rootsys import Weight, _dbl_rho, dbl
@@ -172,7 +175,7 @@ class TestReferenceRows:
 class TestLevelOne:
     def test_rules(self):
         for d in (2, 3, 7):
-            t = level1_table(d)
+            t = LevelOneTable(d)
             w0, w1, wd = t.weights()
             assert t.product(w1, w1) == {w0: 1}
             assert t.product(w1, wd) == {wd: 1}
@@ -182,21 +185,21 @@ class TestLevelOne:
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_kac_walton(self, d):
         kw = FusionTable(d, 1)
-        l1 = level1_table(d)
+        l1 = LevelOneTable(d)
         for a in l1.weights():
             for b in l1.weights():
                 assert kw.product(a, b) == l1.product(a, b)
 
     def test_large_rank_level_one_blocks(self):
-        t = level1_table(17)
+        t = LevelOneTable(17)
         w0, w1, wd = t.weights()
         assert t.dim_genus0([wd, wd, w1, w1]) == 1
-        t = level1_table(31)
+        t = LevelOneTable(31)
         w0, w1, wd = t.weights()
         assert t.dim_genus0([wd, wd, w1]) == 1
 
     def test_level_one_three_point_spin(self):
-        t = level1_table(5)
+        t = LevelOneTable(5)
         w0, w1, wd = t.weights()
         assert t.triple(wd, wd, w0) == 1
         assert t.triple(wd, wd, w1) == 1
@@ -322,3 +325,42 @@ class TestCache:
             fh.truncate()
         t2 = FusionTable(2, 2, cache_dir=str(tmp_path))
         assert not t2._products
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "1,0|1,0|0,0",  # short line
+            "1,0|1,0|9,9|1",  # weight above the level
+            "1,0|1,0|1,0,0|1",  # weight of another rank
+            "1,0|1,0|0,0|1.5",  # non-integer count
+        ],
+    )
+    def test_bad_line_ignores_the_file(self, tmp_path, caplog, bad_line):
+        t = FusionTable(2, 3, cache_dir=str(tmp_path))
+        pairs = list(itertools.combinations_with_replacement(t.weights(), 2))
+        for a, b in pairs:
+            t.product(a, b)
+        t.save()
+        with open(t.cache_path, "a", encoding="utf-8") as fh:
+            fh.write(bad_line + "\n")
+        with caplog.at_level(logging.WARNING, logger="thetablocks.fusion"):
+            t2 = FusionTable(2, 3, cache_dir=str(tmp_path))
+        assert not t2._products
+        assert len(caplog.records) == 1
+        assert "bad cache line" in caplog.records[0].getMessage()
+        fresh = FusionTable(2, 3)
+        for a, b in pairs:
+            assert t2.product(a, b) == fresh.product(a, b), (a, b)
+        t2.save()  # the next save replaces the bad file
+        with open(t2.cache_path, encoding="utf-8") as fh:
+            assert bad_line not in fh.read().splitlines()
+
+    def test_table_dies_with_its_owner(self, tmp_path):
+        """No module-level registry keeps a table alive."""
+        for cache_dir in (None, str(tmp_path)):
+            t = FusionTable(2, 3, cache_dir)
+            t.dim_genus_g(1, [])
+            ref = weakref.ref(t)
+            del t
+            gc.collect()
+            assert ref() is None
