@@ -84,18 +84,19 @@ def _final_value(slots: tuple, form: str) -> QSqrt2:
         for st in v.terms:
             if not st.is_ground():
                 raise UnreducibleError(f"non-ground Ramond state survives: {st}")
-    if form == PSI:
-        c0 = ZERO
-        for st, c in v0.terms.items():
-            if st.degree != 0:
-                raise UnreducibleError(f"non-vacuum NS state survives: {st}")
-            c0 = c0 + c
-        return c0 * psi_pair(v1, v2)
-    if form == PSITILDE:
-        try:
+    # an argument outside its ground stratum is unreducible under either form
+    try:
+        if form == PSI:
+            c0 = ZERO
+            for st, c in v0.terms.items():
+                if st.degree != 0:
+                    raise UnreducibleError(f"non-vacuum NS state survives: {st}")
+                c0 = c0 + c
+            return c0 * psi_pair(v1, v2)
+        if form == PSITILDE:
             return psitilde(v0, v1, v2)
-        except GroundStratumError as exc:
-            raise UnreducibleError(str(exc)) from exc
+    except GroundStratumError as exc:
+        raise UnreducibleError(str(exc)) from exc
     raise ValueError(f"form must be {PSI} or {PSITILDE}")
 
 
@@ -177,7 +178,7 @@ def evaluate_block(
         else:
             i = pending[0]
         x = slots[i].ops[0]
-        stripped = SlotExpression(slots[i].ops[1:], slots[i].base)
+        stripped = slots[i].tail()
         budgets = [s.value().energy2 // 2 for s in slots]
         total = ZERO
         for j, kcoeffs in _transfers(i, budgets):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .coeff import QSqrt2
 from .states import NS, FockVector, clifford_apply
@@ -96,6 +97,10 @@ class SlotExpression:
 
     The number of negative-mode operators is the termination measure of the
     gauge reduction in blocks.evaluate_block.
+
+    The expression keeps its value and its tail (ops[1:] over the same base)
+    once computed, so value() applies one bilinear to the tail's value; the
+    memo is not a field and takes no part in eq, hash or repr.
     """
 
     ops: tuple[BilinearOp, ...]
@@ -105,4 +110,20 @@ class SlotExpression:
         assert all(op.mode == -1 for op in self.ops), "slot words carry mode -1 ops"
 
     def value(self) -> FockVector:
-        return apply_word(self.ops, self.base)
+        return self._value
+
+    def tail(self) -> "SlotExpression":
+        """The expression with its outermost operator stripped."""
+        return self._tail
+
+    # cached_property writes the instance __dict__ directly, which a frozen
+    # dataclass allows
+    @cached_property
+    def _value(self) -> FockVector:
+        if not self.ops:
+            return self.base
+        return apply_bilinear(self.ops[0], self.tail().value())
+
+    @cached_property
+    def _tail(self) -> "SlotExpression":
+        return SlotExpression(self.ops[1:], self.base)

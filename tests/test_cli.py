@@ -134,6 +134,14 @@ class TestExitCodes:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("expr", ["Psi(1; 1; 1)", "PsiTilde(1; v[]; vopp[])"])
+    def test_off_ground_stratum_is_3_under_both_forms(self, capsys, expr):
+        rc = main(["clifford-eval", expr, "--r", "2", "--s", "2"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("UNREDUCIBLE: ")
+
 
 class TestCacheDeterminism:
     def test_cold_vs_warm_identical_json(self, capsys, tmp_path):

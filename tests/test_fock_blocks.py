@@ -2,6 +2,7 @@
 2x2 matrix with its vanishing determinant, and order-independence."""
 
 import itertools
+import sys
 from fractions import Fraction as F
 from math import factorial
 
@@ -27,10 +28,11 @@ from thetablocks.fock import (
     spin_hwv_opposite,
     vacuum,
 )
+from thetablocks.fock import operators
 from thetablocks.fock.blocks import kacmoody_slot
 from thetablocks.fock.hwv import filled_first_row, sigma_twist_ops
 from thetablocks.fock.ranklevel import _ns_vacuum_slot, _phi10_base, _tilde_word
-from thetablocks.weights import YoungDiagram
+from thetablocks.weights import YoungDiagram, young_diagrams
 
 
 def ns_monomial(*pairs):
@@ -200,3 +202,135 @@ class TestUnreducible:
     def test_kacmoody_slot_guards(self):
         with pytest.raises(ValueError):
             kacmoody_slot(ns_monomial((1, 1), (-1, -1)))  # opposite index pair
+
+
+# Entries a11,a12,a21,a22 and determinant of every rank-level matrix with
+# r <= 3, s <= 4, as strings; recorded from the Fraction-backed coefficient
+# ring that preceded the int-backed one.
+PINNED_SCAN = {
+    "r2s2:[1]": ("1,-1/2,1/4√2,-1/8√2", "0"),
+    "r2s2:[1,1]": ("1,-1/2,-1/4√2,1/8√2", "0"),
+    "r2s3:[2]": ("1,-1/2,-1/4√2,1/8√2", "0"),
+    "r2s3:[2,2]": ("1,-1/2,-1/4√2,1/8√2", "0"),
+    "r2s3:[2,1]": ("1,-1/2,1/4√2,-1/8√2", "0"),
+    "r2s4:[3]": ("1,-1/2,1/4√2,-1/8√2", "0"),
+    "r2s4:[3,3]": ("1,-1/2,-1/4√2,1/8√2", "0"),
+    "r2s4:[3,2]": ("1,-1/2,1/4√2,-1/8√2", "0"),
+    "r2s4:[3,1]": ("1,-1/2,-1/4√2,1/8√2", "0"),
+    "r3s2:[1]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s2:[1,1]": ("1,-1/2,1/8√2,-1/16√2", "0"),
+    "r3s2:[1,1,1]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s3:[2]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s3:[2,2]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s3:[2,2,2]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s3:[2,2,1]": ("1,-1/2,1/8√2,-1/16√2", "0"),
+    "r3s3:[2,1]": ("1,-1/2,1/8√2,-1/16√2", "0"),
+    "r3s3:[2,1,1]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s4:[3]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s4:[3,3]": ("1,-1/2,1/8√2,-1/16√2", "0"),
+    "r3s4:[3,3,3]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s4:[3,3,2]": ("1,-1/2,1/8√2,-1/16√2", "0"),
+    "r3s4:[3,3,1]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s4:[3,2]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s4:[3,2,2]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+    "r3s4:[3,2,1]": ("1,-1/2,1/8√2,-1/16√2", "0"),
+    "r3s4:[3,1]": ("1,-1/2,1/8√2,-1/16√2", "0"),
+    "r3s4:[3,1,1]": ("1,-1/2,-1/8√2,1/16√2", "0"),
+}
+
+
+def _scan(rmax: int, smax: int) -> dict:
+    out = {}
+    for r in range(2, rmax + 1):
+        for s in range(2, smax + 1):
+            for y in young_diagrams(r, s - 1):
+                if y.row(1) == s - 1:
+                    m = ranklevel_matrix(y, r, s)
+                    entries = ",".join(str(e) for row in m.entries for e in row)
+                    out[f"r{r}s{s}:{y}"] = (entries, str(m.determinant))
+    return out
+
+
+def _matrix_slots(y, r, s):
+    """The slot objects of ranklevel_matrix: (vacuum, v, v_op, vbar,
+    vbar_op, tilde)."""
+    ybar = filled_first_row(y, s)
+    twist = tuple(sigma_twist_ops(y, r, s))
+    twist_op = tuple(BilinearOp((0, 0), op.upper, -1) for op in twist)
+    return (
+        _ns_vacuum_slot(),
+        SlotExpression((), spin_hwv(y, r, s)),
+        SlotExpression((), spin_hwv_opposite(y, r, s)),
+        SlotExpression(twist, spin_hwv(ybar, r, s)),
+        SlotExpression(twist_op, spin_hwv_opposite(ybar, r, s)),
+        SlotExpression(_tilde_word(r), _phi10_base()),
+    )
+
+
+def _entries(slots, strip_order=None) -> str:
+    vac, v, v_op, vbar, vbar_op, tilde = slots
+    vals = (
+        evaluate_block(vac, v, v_op, PSI, strip_order),
+        evaluate_block(vac, vbar, vbar_op, PSI, strip_order),
+        evaluate_block(tilde, v, v_op, PSITILDE, strip_order),
+        evaluate_block(tilde, vbar, vbar_op, PSITILDE, strip_order),
+    )
+    return ",".join(map(str, vals))
+
+
+class TestPinnedScan:
+    def test_scan_reproduces_the_pinned_strings(self):
+        assert _scan(3, 4) == PINNED_SCAN
+
+
+class TestSlotMemo:
+    """value() and tail() memoize on the expression without changing what
+    it is or what blocks built from it evaluate to."""
+
+    def test_memo_leaves_eq_hash_repr(self):
+        y = YoungDiagram.parse("[2,1]")
+        for used, fresh in zip(_matrix_slots(y, 3, 3), _matrix_slots(y, 3, 3)):
+            used.value()
+            used.tail().value()
+            assert used == fresh and fresh == used
+            assert hash(used) == hash(fresh)
+            assert repr(used) == repr(fresh)
+            assert used.value() == fresh.value()
+            assert used.tail() == SlotExpression(fresh.ops[1:], fresh.base)
+
+    def test_value_applies_the_word(self):
+        _, _, _, _, _, tilde = _matrix_slots(YoungDiagram.parse("[2,1]"), 3, 3)
+        assert tilde.value() == operators.apply_word(tilde.ops, tilde.base)
+        assert tilde.tail().ops == tilde.ops[1:] and tilde.tail().base is tilde.base
+
+    def test_reused_slots_give_the_same_blocks_in_every_order(self):
+        y = YoungDiagram.parse("[2,1]")
+        slots = _matrix_slots(y, 3, 3)
+        expected = PINNED_SCAN["r3s3:[2,1]"][0]
+        orders = [None] + [order * 4 for order in itertools.permutations((0, 1, 2))]
+        for order in orders:
+            assert _entries(slots, order) == expected
+            assert _entries(slots, order) == expected
+
+
+class TestWorkGuard:
+    def test_bilinear_calls_of_one_matrix(self, monkeypatch):
+        """Each slot value is computed once per expression: the 2x2 matrix
+        of (r, s, Y) = (3, 3, [2,1]) applies 44 bilinears (72 when every
+        reduction step re-applied each slot's whole word)."""
+        original = operators.apply_bilinear
+        calls = []
+
+        def counted(op, v):
+            calls.append(op)
+            return original(op, v)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("thetablocks.fock")
+                    and getattr(mod, "apply_bilinear", None) is original):
+                monkeypatch.setattr(mod, "apply_bilinear", counted)
+        m = ranklevel_matrix(YoungDiagram.parse("[2,1]"), 3, 3)
+        assert ",".join(str(e) for row in m.entries for e in row) == (
+            PINNED_SCAN["r3s3:[2,1]"][0]
+        )
+        assert len(calls) == 44
