@@ -127,7 +127,10 @@ class QSqrt2:
         return self._p == other._p and self._q == other._q and self._d == other._d
 
     def __hash__(self):
-        return hash((self._p, self._q, self._d))
+        if self._q:
+            return hash((self._p, self._q, self._d))
+        # a rational value equals, so hashes like, its int or Fraction
+        return hash(self._p) if self._d == 1 else hash(Fraction(self._p, self._d))
 
     def __str__(self):
         a, b = self.a, self.b

@@ -137,6 +137,9 @@ def _split_slots(inner: str) -> list[str]:
 def evaluate(text: str, r: int | None = None, s: int | None = None):
     """Evaluate a grammar expression: either a QSqrt2 (for Psi/PsiTilde
     blocks) or a FockVector (for plain operator words)."""
+    for name, value in (("r", r), ("s", s)):
+        if value is not None and value < 0:
+            raise GrammarError(f"--{name} must be >= 0, got {value}")
     m = _FORM.match(text.strip())
     if m:
         name, inner = m.groups()

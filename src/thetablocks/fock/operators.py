@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .coeff import QSqrt2
-from .states import NS, FockVector, clifford_apply
+from .states import NS, FockState, FockVector, clifford_state
 
 Idx = tuple[int, int]
 
@@ -27,41 +27,54 @@ class BilinearOp:
         return f"B{{{i},{p};{k},{q}}}({self.mode})"
 
 
-def _term(x: tuple, y: tuple, v: FockVector) -> FockVector:
-    """phi^{x} then phi^{y} applied right-to-left: the product x(a) y(b)."""
-    return clifford_apply(x, clifford_apply(y, v))
+_HALF = QSqrt2(Fraction(1, 2))
+
+
+def _add_product(out: dict, x: tuple, y: tuple, state: FockState, coeff) -> None:
+    """out += coeff * phi^{x} phi^{y} state, the factors applied right to
+    left to the one basis state."""
+    hit = clifford_state(y, state)
+    if hit is None:
+        return
+    mid, c1 = hit
+    hit = clifford_state(x, mid)
+    if hit is None:
+        return
+    new, c2 = hit
+    c = coeff * (c1 * c2)
+    old = out.get(new)
+    out[new] = c if old is None else old + c
 
 
 def apply_bilinear(op: BilinearOp, v: FockVector) -> FockVector:
     """Apply a normal-ordered bilinear; only finitely many mode splits act.
 
     Normal ordering: a > 0 > b swaps with a sign; a = b = 0 antisymmetrizes;
-    all other splits act as written.
+    all other splits act as written.  Each split acts on one basis state at
+    a time and adds into a single output dict.
     """
-    out = FockVector.zero()
+    out: dict[FockState, QSqrt2] = {}
     tm_op = 2 * op.mode
     ui, up = op.upper
     li, lp = op.lower
     for state, coeff in v.terms.items():
-        sv = FockVector.unit(state, coeff)
         parity = 1 if state.sector == NS else 0
         budget = state.energy2
         lo = min(tm_op, 0) - budget
         hi = max(tm_op, 0) + budget
-        ta = lo + ((parity - lo) % 2)
-        while ta <= hi:
+        for ta in range(lo + ((parity - lo) % 2), hi + 1, 2):
             tb = tm_op - ta
             x = (ta, ui, up)
             y = (tb, -li, -lp)
             if ta > 0 > tb:
-                out = out - _term(y, x, sv)
+                _add_product(out, y, x, state, -coeff)
             elif ta == 0 and tb == 0:
-                half = QSqrt2(Fraction(1, 2))
-                out = out + half * (_term(x, y, sv) - _term(y, x, sv))
+                half = _HALF * coeff
+                _add_product(out, x, y, state, half)
+                _add_product(out, y, x, state, -half)
             else:
-                out = out + _term(x, y, sv)
-            ta += 2
-    return out
+                _add_product(out, x, y, state, coeff)
+    return FockVector(out)
 
 
 def apply_word(word, v: FockVector) -> FockVector:
@@ -75,20 +88,22 @@ def apply_LR(i: int, j: int, mode: int, side: str, v: FockVector, r: int, s: int
     """Embedded action of B^i_j(mode): side "L" sums phi^{i,q} phi_{j,q} over
     q in [-s..s] (so(2r+1)); side "R" sums phi^{p,i} phi_{p,j} over
     p in [-r..r] (so(2s+1))."""
-    out = FockVector.zero()
     if side == "L":
         if not (-r <= i <= r and -r <= j <= r):
             raise ValueError(f"index out of range for so({2*r+1}): ({i},{j})")
-        for q in range(-s, s + 1):
-            out = out + apply_bilinear(BilinearOp((i, q), (j, q), mode), v)
+        ops = [BilinearOp((i, q), (j, q), mode) for q in range(-s, s + 1)]
     elif side == "R":
         if not (-s <= i <= s and -s <= j <= s):
             raise ValueError(f"index out of range for so({2*s+1}): ({i},{j})")
-        for p in range(-r, r + 1):
-            out = out + apply_bilinear(BilinearOp((p, i), (p, j), mode), v)
+        ops = [BilinearOp((p, i), (p, j), mode) for p in range(-r, r + 1)]
     else:
         raise ValueError("side must be 'L' or 'R'")
-    return out
+    out: dict[FockState, QSqrt2] = {}
+    for op in ops:
+        for state, c in apply_bilinear(op, v).terms.items():
+            old = out.get(state)
+            out[state] = c if old is None else old + c
+    return FockVector(out)
 
 
 @dataclass(frozen=True)

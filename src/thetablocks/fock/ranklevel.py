@@ -12,6 +12,7 @@ from .coeff import QSqrt2
 from .hwv import filled_first_row, sigma_twist_ops, spin_hwv, spin_hwv_opposite
 from .operators import BilinearOp, SlotExpression
 from .states import NS, FockState, FockVector, vacuum
+from ..rootsys import require_rank
 from ..weights import YoungDiagram
 
 
@@ -45,6 +46,8 @@ def ranklevel_matrix(y: YoungDiagram, r: int, s: int) -> RankLevelMatrix:
         rows:    u = 1 (Psi)  /  u = tilde-v word (PsiTilde)
         columns: (v_lam, v^lam)  /  (twisted v-bar_lam, v-bar^lam)
     """
+    require_rank(r)
+    require_rank(s)
     if y.row(1) != s - 1 or not y.fits(r, s - 1):
         raise ValueError(
             f"need Y in the {r}x{s-1} box with first row exactly {s-1}, got {y}"

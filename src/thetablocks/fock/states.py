@@ -17,7 +17,8 @@ a wedge, acting instead by the scalar (-1)^degree / sqrt(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 from .coeff import INV_SQRT2, ONE, ZERO, QSqrt2
 
@@ -35,32 +36,42 @@ def _index_positive(j: int, p: int) -> bool:
     return j > 0 or (j == 0 and p > 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FockState:
     sector: str
     wedge: tuple[Gen, ...]
     dual: bool = False
+    # twice the energy (sum of -tm over the wedge) and the hash are computed
+    # once, at construction: states key every dict of the engine
+    energy2: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parity = 1 if self.sector == NS else 0
-        for tm, j, p in self.wedge:
+        energy2 = 0
+        prev = ()  # the empty tuple sorts before every generator
+        for gen in self.wedge:
+            tm = gen[0]
             if tm & 1 != parity:
                 raise SectorError(f"mode {tm}/2 not allowed in sector {self.sector}")
-        assert all(
-            self.wedge[i] < self.wedge[i + 1] for i in range(len(self.wedge) - 1)
-        ), f"wedge not canonically sorted: {self.wedge}"
+            if gen <= prev:
+                raise ValueError(f"wedge not canonically sorted: {self.wedge}")
+            energy2 -= tm
+            prev = gen
+        object.__setattr__(self, "energy2", energy2)
+        object.__setattr__(self, "_hash", hash((self.sector, self.wedge, self.dual)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self) -> int:
         return len(self.wedge)
 
-    @property
-    def energy2(self) -> int:
-        """Twice the energy: sum of -tm over the wedge."""
-        return -sum(tm for tm, _, _ in self.wedge)
-
     def is_ground(self) -> bool:
-        return all(tm == 0 for tm, _, _ in self.wedge)
+        """All modes zero; the wedge is sorted by mode, so its ends decide."""
+        w = self.wedge
+        return not w or w[0][0] == 0 == w[-1][0]
 
 
 def vacuum(sector: str, dual: bool = False) -> FockState:
@@ -86,11 +97,16 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         out = dict(self.terms)
         for s, c in other.terms.items():
-            out[s] = out.get(s, ZERO) + c
+            old = out.get(s)
+            out[s] = c if old is None else old + c
         return FockVector(out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-1) * other
+        out = dict(self.terms)
+        for s, c in other.terms.items():
+            old = out.get(s)
+            out[s] = -c if old is None else old - c
+        return FockVector(out)
 
     def __rmul__(self, scalar) -> "FockVector":
         c = QSqrt2.of(scalar)
@@ -134,67 +150,48 @@ def _gen_str(g: Gen) -> str:
     return f"phi_{{{-j},{-p}}}({mode})"
 
 
-def wedge_insert(state: FockState, gen: Gen):
-    """Insert a generator into the wedge; returns (state, sign) or None on a
-    repeated generator."""
-    w = state.wedge
-    lo, hi = 0, len(w)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if w[mid] < gen:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < len(w) and w[lo] == gen:
-        return None
-    new = w[:lo] + (gen,) + w[lo:]
-    sign = -1 if lo & 1 else 1
-    return FockState(state.sector, new, state.dual), sign
+_NEG_INV_SQRT2 = -INV_SQRT2
 
 
-def _is_creation(gen: Gen, dual: bool) -> bool:
-    tm, j, p = gen
-    if tm < 0:
-        return True
-    if tm > 0:
-        return False
-    pos = _index_positive(j, p)
-    return pos if dual else not pos
-
-
-def clifford_apply(gen: Gen, v: FockVector) -> FockVector:
-    """Action of a Clifford generator phi^{j,p}(tm/2) on a Fock vector.
+def clifford_state(gen: Gen, state: FockState):
+    """Action of a Clifford generator phi^{j,p}(tm/2) on one basis state:
+    (state', c) with c = +-1 or +-1/sqrt(2), or None when it vanishes.
 
     Creations wedge (with the reordering sign), annihilations contract via
     the pairing {phi^{a}(m), phi^{b}(n)} = delta_{a+b,0} delta_{m+n,0}, and
     the R-sector zero mode at raw index (0,0) acts by (-1)^deg / sqrt(2).
     """
     tm, j, p = gen
+    if tm & 1 != (state.sector == NS):
+        raise SectorError(f"mode {tm}/2 not allowed in sector {state.sector}")
+    w = state.wedge
+    if tm == 0 and j == 0 and p == 0:
+        return state, (_NEG_INV_SQRT2 if len(w) & 1 else INV_SQRT2)
+    # tm < 0 creates; at tm = 0 the raw index sign and the realization decide
+    if tm < 0 or (tm == 0 and _index_positive(j, p) == state.dual):
+        i = bisect_left(w, gen)
+        if i < len(w) and w[i] == gen:
+            return None
+        new = w[:i] + (gen,) + w[i:]
+    else:
+        # generators are distinct in a wedge: at most one pairs with gen
+        pair = (-tm, -j, -p)
+        i = bisect_left(w, pair)
+        if i == len(w) or w[i] != pair:
+            return None
+        new = w[:i] + w[i + 1 :]
+    return FockState(state.sector, new, state.dual), (-1 if i & 1 else 1)
+
+
+def clifford_apply(gen: Gen, v: FockVector) -> FockVector:
+    """Action of a Clifford generator phi^{j,p}(tm/2) on a Fock vector,
+    state by state through clifford_state."""
     out: dict[FockState, QSqrt2] = {}
-
-    def add(state, coeff):
-        if coeff:
-            out[state] = out.get(state, ZERO) + coeff
-
     for state, coeff in v.terms.items():
-        parity = 1 if state.sector == NS else 0
-        if tm & 1 != parity:
-            raise SectorError(f"mode {tm}/2 not allowed in sector {state.sector}")
-        if tm == 0 and (j, p) == (0, 0):
-            sign = -1 if state.degree & 1 else 1
-            add(state, coeff * INV_SQRT2 * sign)
-            continue
-        if _is_creation(gen, state.dual):
-            ins = wedge_insert(state, gen)
-            if ins is not None:
-                new, sign = ins
-                add(new, coeff * sign)
-        else:
-            for i, (tm2, j2, p2) in enumerate(state.wedge):
-                if tm + tm2 == 0 and j + j2 == 0 and p + p2 == 0:
-                    rest = state.wedge[:i] + state.wedge[i + 1 :]
-                    sign = -1 if i & 1 else 1
-                    add(FockState(state.sector, rest, state.dual), coeff * sign)
-                    # generators are distinct in a wedge: only one match
-                    break
+        hit = clifford_state(gen, state)
+        if hit is not None:
+            new, c = hit
+            c = coeff * c
+            old = out.get(new)
+            out[new] = c if old is None else old + c
     return FockVector(out)

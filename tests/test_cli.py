@@ -134,6 +134,19 @@ class TestExitCodes:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["clifford-eval", "Psi(1; v[]; vopp[])", "--r", "2", "--s", "-1"],
+        ["clifford-eval", "Psi(1; v[]; vopp[])", "--r", "-1", "--s", "2"],
+        ["ranklevel-matrix", "--weights", "[1]", "--r", "1", "--s", "2"],
+        ["ranklevel-matrix", "--weights", "[]", "--r", "2", "--s", "1"],
+    ])
+    def test_out_of_domain_r_or_s_is_1(self, capsys, argv):
+        rc = main(argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("expr", ["Psi(1; 1; 1)", "PsiTilde(1; v[]; vopp[])"])
     def test_off_ground_stratum_is_3_under_both_forms(self, capsys, expr):
         rc = main(["clifford-eval", expr, "--r", "2", "--s", "2"])

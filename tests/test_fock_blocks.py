@@ -2,6 +2,8 @@
 2x2 matrix with its vanishing determinant, and order-independence."""
 
 import itertools
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
 from math import factorial
@@ -334,3 +336,48 @@ class TestWorkGuard:
             PINNED_SCAN["r3s3:[2,1]"][0]
         )
         assert len(calls) == 44
+
+    def test_vector_constructions_of_one_matrix(self, monkeypatch):
+        """A bilinear builds one FockVector per call, however many mode splits
+        act: the same matrix builds 79 vectors (500 when each split built a
+        unit vector and each partial sum copied the output)."""
+        original = FockVector.__init__
+        built = []
+
+        def counted(self, terms=None):
+            built.append(1)
+            original(self, terms)
+
+        monkeypatch.setattr(FockVector, "__init__", counted)
+        m = ranklevel_matrix(YoungDiagram.parse("[2,1]"), 3, 3)
+        assert ",".join(str(e) for row in m.entries for e in row) == (
+            PINNED_SCAN["r3s3:[2,1]"][0]
+        )
+        assert len(built) == 79
+
+
+class TestScanScript:
+    SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "strange_duality_scan.py")
+
+    def run(self, *args):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        return subprocess.run(
+            [sys.executable, self.SCRIPT, *args],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    @pytest.mark.parametrize("args", [("x",), ("2.5", "3"), ("1", "1"), ("2", "1"), ("3", "3", "3")])
+    def test_bad_arguments_print_usage_and_exit_1(self, args):
+        proc = self.run(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: ")
+
+    def test_scan_ends_with_its_count_and_time(self):
+        proc = self.run("2", "3")
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 7
+        assert lines[-2] == "all determinants vanish"
+        assert lines[-1].startswith("5 matrices scanned in ") and lines[-1].endswith(" s")

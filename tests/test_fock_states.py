@@ -11,13 +11,16 @@ from thetablocks.fock import (
     R,
     SQRT2,
     ZERO,
+    BilinearOp,
     FockState,
     FockVector,
     QSqrt2,
     SectorError,
+    apply_bilinear,
     clifford_apply,
     vacuum,
 )
+from thetablocks.fock.states import clifford_state
 
 
 class TestQSqrt2:
@@ -81,6 +84,14 @@ class TestQSqrt2Contract:
         assert QSqrt2(F(1, 2)) == F(1, 2) and F(1, 2) == QSqrt2(F(1, 2))
         assert QSqrt2(3) == 3 and 3 == QSqrt2(3)
         assert QSqrt2(1, 1) != 1 and QSqrt2(1, 1) != 1.0
+
+    def test_rational_values_hash_like_their_rationals(self):
+        assert hash(QSqrt2(1)) == hash(1)
+        assert hash(QSqrt2(F(1, 2))) == hash(F(1, 2))
+        assert len({QSqrt2(3), 3}) == 1
+        assert hash(QSqrt2(F(-6, 4))) == hash(F(-3, 2))
+        assert hash(ONE - ONE) == hash(0) == hash(ZERO)
+        assert {QSqrt2(F(1, 2)): "half"}[F(1, 2)] == "half"
 
     def test_parts_are_fractions(self):
         x = QSqrt2(F(-6, 4), 3)
@@ -152,6 +163,40 @@ class TestFockState:
         assert s.energy2 == 4
         assert not s.is_ground()
         assert FockState(R, ((0, -1, 0),)).is_ground()
+        assert FockState(R, ()).is_ground()
+        assert not FockState(R, ((-2, 1, 1), (0, -1, 0))).is_ground()
+        assert not FockState(R, ((0, -1, 0), (2, 1, 1))).is_ground()
+
+    def test_unsorted_or_repeated_wedge_fails(self):
+        with pytest.raises(ValueError, match="not canonically sorted"):
+            FockState(NS, ((-1, 2, 0), (-1, 1, 0)))
+        with pytest.raises(ValueError, match="not canonically sorted"):
+            FockState(R, ((0, -1, 0), (0, -1, 0)))
+        with pytest.raises(ValueError, match="not canonically sorted"):
+            FockState(R, ((-2, 1, 1), (0, -2, 0), (0, -3, 0)), dual=True)
+
+    def test_wrong_sector_fails_on_every_path(self):
+        with pytest.raises(SectorError):
+            FockState(NS, ((-1, 1, 0), (0, 2, 0)))
+        ns = FockVector.unit(FockState(NS, ((-1, 1, 0),)))
+        r = FockVector.unit(FockState(R, ((0, -1, 0),)))
+        for gen, v in (((0, 2, 0), ns), ((0, 0, 0), ns), ((-1, 2, 0), r), ((1, -1, 0), r)):
+            with pytest.raises(SectorError):
+                clifford_apply(gen, v)
+            with pytest.raises(SectorError):
+                clifford_state(gen, next(iter(v.terms)))
+
+    def test_eq_hash_repr_are_the_dataclass_ones(self):
+        a = FockState(NS, ((-1, 1, 0),))
+        b = FockState(NS, ((-1, 1, 0),), False)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != FockState(NS, ((-1, 1, 0),), True)
+        assert a != FockState(NS, ((-1, 1, 1),))
+        assert repr(a) == "FockState(sector='NS', wedge=((-1, 1, 0),), dual=False)"
+        with pytest.raises(AttributeError):
+            a.wedge = ()
+        with pytest.raises(AttributeError):
+            a.energy2 = 0
 
 
 class TestCliffordApply:
@@ -202,3 +247,139 @@ class TestCliffordApply:
         s2 = FockVector.unit(FockState(NS, ((-1, 1, 1),)), F(-1, 2))
         assert not (s1 + s2)
         assert (2 * s1).coefficient(FockState(NS, ((-1, 1, 1),))) == ONE
+
+
+class TestVectorArithmetic:
+    def test_sub_is_add_of_the_negative(self):
+        a, b = FockState(NS, ((-1, 1, 1),)), FockState(NS, ((-3, 0, 1),))
+        x = FockVector({a: QSqrt2(1, 2), b: QSqrt2(F(1, 2))})
+        y = FockVector({a: QSqrt2(1, 2), vacuum(NS): INV_SQRT2})
+        assert x - y == x + (-1) * y
+        assert x - y == FockVector({b: QSqrt2(F(1, 2)), vacuum(NS): -INV_SQRT2})
+        assert not (x - x)
+        assert (FockVector() - y) == (-1) * y
+
+
+# -- the engine's Clifford and bilinear kernels against the vector-level
+# versions they replaced --------------------------------------------------
+
+
+def _is_creation(gen, dual: bool) -> bool:
+    tm, j, p = gen
+    if tm != 0:
+        return tm < 0
+    pos = j > 0 or (j == 0 and p > 0)
+    return pos if dual else not pos
+
+
+def _reference_clifford_apply(gen, v: FockVector) -> FockVector:
+    """Clifford generator on a vector: wedge by a linear scan with the
+    reordering sign, contract against the paired generator, and act by
+    (-1)^degree / sqrt(2) at the R-sector raw index (0, 0)."""
+    tm, j, p = gen
+    out = FockVector()
+    for state, coeff in v.terms.items():
+        if tm & 1 != (1 if state.sector == NS else 0):
+            raise SectorError(gen)
+        w = state.wedge
+        if (tm, j, p) == (0, 0, 0):
+            sign = -1 if len(w) & 1 else 1
+            out = out + FockVector.unit(state, coeff * INV_SQRT2 * sign)
+        elif _is_creation(gen, state.dual):
+            if gen in w:
+                continue
+            i = sum(1 for g in w if g < gen)
+            new = FockState(state.sector, w[:i] + (gen,) + w[i:], state.dual)
+            out = out + FockVector.unit(new, coeff * (-1) ** i)
+        else:
+            for i, g in enumerate(w):
+                if g == (-tm, -j, -p):
+                    new = FockState(state.sector, w[:i] + w[i + 1 :], state.dual)
+                    out = out + FockVector.unit(new, coeff * (-1) ** i)
+    return out
+
+
+def _reference_apply_bilinear(op: BilinearOp, v: FockVector) -> FockVector:
+    """Normal-ordered bilinear at the vector level: two Clifford actions on
+    a unit vector per mode split, accumulated with FockVector +/-."""
+
+    def term(x, y, sv):
+        return _reference_clifford_apply(x, _reference_clifford_apply(y, sv))
+
+    out = FockVector.zero()
+    tm_op = 2 * op.mode
+    (ui, up), (li, lp) = op.upper, op.lower
+    for state, coeff in v.terms.items():
+        sv = FockVector.unit(state, coeff)
+        parity = 1 if state.sector == NS else 0
+        lo = min(tm_op, 0) - state.energy2
+        hi = max(tm_op, 0) + state.energy2
+        for ta in range(lo + ((parity - lo) % 2), hi + 1, 2):
+            tb = tm_op - ta
+            x, y = (ta, ui, up), (tb, -li, -lp)
+            if ta > 0 > tb:
+                out = out - term(y, x, sv)
+            elif ta == 0 and tb == 0:
+                out = out + QSqrt2(F(1, 2)) * (term(x, y, sv) - term(y, x, sv))
+            else:
+                out = out + term(x, y, sv)
+    return out
+
+
+_IDX = st.integers(-2, 2)
+_COEFFS = st.sampled_from(
+    [ONE, -ONE, QSqrt2(F(1, 2)), INV_SQRT2, QSqrt2(3, -1), QSqrt2(F(-2, 3), F(1, 4))]
+)
+
+
+@st.composite
+def _states(draw, sector, dual):
+    """A stored state: creation modes, plus in R the zero modes that the
+    realization keeps (lowered in the standard one, raised in the dual)."""
+    tms = [-5, -3, -1] if sector == NS else [-4, -2, 0]
+    gens = draw(st.sets(st.tuples(st.sampled_from(tms), _IDX, _IDX), max_size=5))
+    kept = [g for g in gens if g[0] != 0 or (g[1:] != (0, 0) and _is_creation(g, dual))]
+    return FockState(sector, tuple(sorted(kept)), dual)
+
+
+@st.composite
+def _vectors(draw):
+    sector = draw(st.sampled_from([NS, R]))
+    dual = draw(st.booleans())
+    states = draw(st.lists(_states(sector, dual), min_size=1, max_size=3))
+    return FockVector({s: draw(_COEFFS) for s in states})
+
+
+_OPS = st.builds(
+    BilinearOp, st.tuples(_IDX, _IDX), st.tuples(_IDX, _IDX), st.integers(-2, 2)
+)
+
+
+class TestKernelsMatchTheVectorLevelReference:
+    @given(_vectors(), st.tuples(st.integers(-4, 4), _IDX, _IDX))
+    @settings(max_examples=200, deadline=None)
+    def test_clifford_apply(self, v, gen):
+        parity = 1 if next(iter(v.terms)).sector == NS else 0
+        gen = (gen[0] + (gen[0] & 1 != parity),) + gen[1:]
+        assert clifford_apply(gen, v) == _reference_clifford_apply(gen, v)
+
+    @given(_vectors(), _OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_apply_bilinear(self, v, op):
+        assert apply_bilinear(op, v) == _reference_apply_bilinear(op, v)
+
+    @given(st.booleans(), _states(R, False), _states(R, True), _OPS)
+    @settings(max_examples=100, deadline=None)
+    def test_zero_mode_splits(self, dual, std, dl, op):
+        """Mode 0 on the R sector: the a = b = 0 split antisymmetrizes."""
+        v = FockVector.unit(dl if dual else std, QSqrt2(1, 1))
+        op = BilinearOp(op.upper, op.lower, 0)
+        assert apply_bilinear(op, v) == _reference_apply_bilinear(op, v)
+
+    def test_zero_mode_split_contributes(self):
+        # B^{0,0}_{1,0}(0) on the R vacuum: only the a = b = 0 split acts,
+        # (1/2)(phi^{0,0}(0) phi_{1,0}(0) - phi_{1,0}(0) phi^{0,0}(0))
+        v = FockVector.unit(vacuum(R))
+        op = BilinearOp((0, 0), (1, 0), 0)
+        want = -INV_SQRT2 * FockVector.unit(FockState(R, ((0, -1, 0),)))
+        assert apply_bilinear(op, v) == want == _reference_apply_bilinear(op, v)

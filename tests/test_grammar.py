@@ -69,3 +69,10 @@ class TestEvaluate:
     def test_form_needs_three_slots(self):
         with pytest.raises(GrammarError):
             evaluate("Psi(1 ; v[1])", 2, 2)
+
+    @pytest.mark.parametrize("r, s", [(2, -1), (-1, 2), (-3, -3)])
+    def test_negative_r_or_s_is_rejected(self, r, s):
+        with pytest.raises(GrammarError, match="must be >= 0"):
+            evaluate("Psi(1; v[]; vopp[])", r, s)
+        with pytest.raises(GrammarError, match="must be >= 0"):
+            evaluate("B{0,0;0,1}(0)·phi^{0,1}(-1/2)", r, s)
