@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fusion import FusionTable, LevelOneTable
-from .rootsys import Weight, killing_form, require_rank, root_system
+from .rootsys import Weight, _dbl_rho, require_rank
 from .weights import (
     check_level,
     sigma,
@@ -32,7 +32,7 @@ class EmbeddingParams:
 
     def __post_init__(self):
         require_rank(self.r)
-        require_rank(self.s)
+        require_rank(self.s, "s")
 
     @property
     def d(self) -> int:
@@ -67,13 +67,21 @@ def is_conformal(r: int, s: int, index: tuple[int, int] | None = None) -> bool:
     return lhs == rhs
 
 
-def trace_anomaly(lam: Weight, ell: int) -> Fraction:
-    """(lam, lam + 2 rho) / (2 (h_vee + ell)) for so(2r+1), h_vee = 2r-1."""
+def _anomaly(lam: Weight, ell: int) -> tuple[int, int]:
+    """The trace anomaly as (numerator, 8 (h_vee + ell)): on doubled ints
+    L = 2 lam and R = 2 rho, (lam, lam + 2 rho) = sum L_i (L_i + 2 R_i) / 4."""
     check_level(lam, ell)
     r = lam.rank
-    rho = root_system(r).rho
-    shifted = tuple(c + 2 * p for c, p in zip(lam.coords, rho))
-    return killing_form(lam.coords, shifted) / (2 * (2 * r - 1 + ell))
+    num = 0
+    for c, p in zip(lam.coords, _dbl_rho(r)):
+        x = 2 * c.numerator // c.denominator
+        num += x * (x + 2 * p)
+    return num, 8 * (2 * r - 1 + ell)
+
+
+def trace_anomaly(lam: Weight, ell: int) -> Fraction:
+    """(lam, lam + 2 rho) / (2 (h_vee + ell)) for so(2r+1), h_vee = 2r-1."""
+    return Fraction(*_anomaly(lam, ell))
 
 
 def lambda_weight(label: str, d: int) -> Weight:
@@ -101,18 +109,26 @@ class BranchTriple:
 def sewing_exponent(lam: Weight, mu: Weight, Lambda: str, r: int, s: int) -> int:
     """m = Delta_lam + Delta_mu - Delta_Lambda; a branching pair must give a
     nonnegative integer."""
-    p = EmbeddingParams(r, s)
-    m = (
-        trace_anomaly(lam, p.levels[0])
-        + trace_anomaly(mu, p.levels[1])
-        - trace_anomaly(lambda_weight(Lambda, p.d), 1)
-    )
-    if m.denominator != 1 or m < 0:
+    return _sewing(lam, mu, Lambda, EmbeddingParams(r, s))
+
+
+def _sewing(lam, mu, Lambda, p: EmbeddingParams, big=None) -> int:
+    """sewing_exponent, with Delta_Lambda given as `big` = _anomaly(...) when
+    the caller already has it.  The exponent is one int numerator over the
+    product of the three anomaly denominators: for weights of ranks r and s
+    both factors have h_vee + ell = 2(r + s), and so(2d+1) at level one 2d."""
+    nl, dl = _anomaly(lam, p.levels[0])
+    nm, dm = _anomaly(mu, p.levels[1])
+    nL, dL = big if big is not None else _anomaly(lambda_weight(Lambda, p.d), 1)
+    den = dl * dm * dL
+    num = (nl * dm + nm * dl) * dL - nL * dl * dm
+    if num < 0 or num % den:
         raise BranchingError(
-            f"sewing exponent for ({lam}; {mu}; omega_{Lambda}) is {m}, "
+            f"sewing exponent for ({lam}; {mu}; omega_{Lambda}) is "
+            f"{Fraction(num, den)}, "
             "not a nonnegative integer: the pair is not a branching pair"
         )
-    return int(m)
+    return num // den
 
 
 def branch_pairs(Lambda: str, r: int, s: int) -> tuple[BranchTriple, ...]:
@@ -126,12 +142,13 @@ def branch_pairs(Lambda: str, r: int, s: int) -> tuple[BranchTriple, ...]:
     """
     p = EmbeddingParams(r, s)
     ell_l, ell_r = p.levels
+    if Lambda not in LAMBDA_LABELS:
+        raise ValueError(f"Lambda label must be one of {LAMBDA_LABELS}")
+    big = _anomaly(lambda_weight(Lambda, p.d), 1)
     out: list[BranchTriple] = []
 
     def emit(lam, mu, rule):
-        out.append(
-            BranchTriple(lam, mu, Lambda, sewing_exponent(lam, mu, Lambda, r, s), rule)
-        )
+        out.append(BranchTriple(lam, mu, Lambda, _sewing(lam, mu, Lambda, p, big), rule))
 
     if Lambda in ("0", "1"):
         want_parity = 0 if Lambda == "0" else 1
@@ -143,7 +160,7 @@ def branch_pairs(Lambda: str, r: int, s: int) -> tuple[BranchTriple, ...]:
             else:
                 emit(sigma(lam, ell_l), mu, f"(sigma(Y), Y^T) with Y={y}")
                 emit(lam, sigma(mu, ell_r), f"(Y, sigma(Y^T)) with Y={y}")
-    elif Lambda == "d":
+    else:
         for y in young_diagrams(r, s):
             lam = weight_of_young(y, r, spin=True)
             mu = weight_of_young(star(y, r, s), s, spin=True)
@@ -160,17 +177,20 @@ def branch_pairs(Lambda: str, r: int, s: int) -> tuple[BranchTriple, ...]:
                     sigma(mu, ell_r),
                     f"(Y+omega_r, sigma(Y*+omega_s)) with Y={y}",
                 )
-    else:
-        raise ValueError(f"Lambda label must be one of {LAMBDA_LABELS}")
     return tuple(out)
+
+
+def _rule_table(Lambda: str, r: int, s: int) -> dict:
+    """(lam, mu) -> the first bullet of B(Lambda) that admits the pair."""
+    rules: dict = {}
+    for tri in branch_pairs(Lambda, r, s):
+        rules.setdefault((tri.lam, tri.mu), tri.rule)
+    return rules
 
 
 def find_branch_rule(lam: Weight, mu: Weight, Lambda: str, r: int, s: int) -> str | None:
     """The bullet that admits (lam, mu) in B(Lambda), or None."""
-    for tri in branch_pairs(Lambda, r, s):
-        if tri.lam == lam and tri.mu == mu:
-            return tri.rule
-    return None
+    return _rule_table(Lambda, r, s).get((lam, mu))
 
 
 @dataclass
@@ -210,8 +230,11 @@ def ranklevel_report(
     if not len(source) == len(target) == len(Lambdas):
         raise ValueError("source, target and Lambda lists must have equal length")
     certs = []
+    tables: dict = {}  # B(Lambda) is built once per distinct Lambda
     for lam, mu, L in zip(source, target, Lambdas):
-        rule = find_branch_rule(lam, mu, L, r, s)
+        if L not in tables:
+            tables[L] = _rule_table(L, r, s)
+        rule = tables[L].get((lam, mu))
         if rule is None:
             msg = f"({lam}; {mu}) not admitted by the B(omega_{L}) rules"
             if strict:

@@ -1,6 +1,9 @@
 """Command-line front end: exact fusion dimensions, the trig oracle, branching
 data, rank-level reports, Clifford evaluations, and the bundled golden-number
-suite.  Reports are emitted as aligned text (default) or JSON (--json)."""
+suite.  Reports are emitted as aligned text (default) or JSON (--json).
+
+Each subcommand imports the engine it uses when it runs, so start-up (and
+argument parsing) loads no engine."""
 
 from __future__ import annotations
 
@@ -8,11 +11,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from . import __version__, branching, fusion, verlinde
-from .fock import blocks, grammar
-from .fock.ranklevel import ranklevel_matrix
-from .rootsys import Weight
-from .weights import YoungDiagram
+
+from . import __version__
+from .common import DEFAULT_DPS, UnreducibleError
 
 EXIT_PARSE = 1
 EXIT_DISAGREE = 2
@@ -61,17 +62,23 @@ class Report:
         return "\n".join(out)
 
 
-def parse_weights(text: str) -> list[Weight]:
+def parse_weights(text: str) -> list:
+    from .rootsys import Weight
+
     return [Weight.parse(part) for part in text.split(";") if part.strip()]
 
 
 def _dims_both(g, lams, r, ell, method, cache_dir, dps):
     exact = trig = table = None
     if method in ("exact", "both"):
-        table = fusion.FusionTable(r, ell, cache_dir)
+        from .fusion import FusionTable
+
+        table = FusionTable(r, ell, cache_dir)
         exact = table.dim_genus_g(g, lams)
     if method in ("trig", "both"):
-        trig = verlinde.dim_trig(g, lams, r, ell, dps)
+        from .verlinde import dim_trig
+
+        trig = dim_trig(g, lams, r, ell, dps)
     if method == "both" and exact != trig:
         raise EngineDisagreement(
             f"fusion gives {exact}, trig gives {trig} for genus {g}, {lams}"
@@ -126,7 +133,9 @@ def cmd_dim(args) -> Report:
 
 
 def cmd_branch(args) -> Report:
-    tris = branching.branch_pairs(args.Lambda, args.r, args.s)
+    from .branching import branch_pairs
+
+    tris = branch_pairs(args.Lambda, args.r, args.s)
     outputs = {
         "count": len(tris),
         "pairs": [
@@ -158,7 +167,9 @@ def cmd_sewing(args) -> Report:
     lams = parse_weights(args.weights)
     if len(lams) != 2:
         raise _usage_error("sewing needs exactly two weights 'lam;mu'")
-    m = branching.sewing_exponent(lams[0], lams[1], args.Lambda, args.r, args.s)
+    from .branching import sewing_exponent
+
+    m = sewing_exponent(lams[0], lams[1], args.Lambda, args.r, args.s)
     return Report(
         "sewing",
         {
@@ -173,8 +184,10 @@ def cmd_sewing(args) -> Report:
 
 
 def cmd_oxbury(args) -> Report:
+    from .verlinde import n0_oxbury, oxbury_check
+
     if args.rank is not None and args.level is not None:
-        n0 = verlinde.n0_oxbury(args.genus, args.rank, args.level, args.precision)
+        n0 = n0_oxbury(args.genus, args.rank, args.level, args.precision)
         return Report(
             "oxbury",
             {"genus": args.genus, "rank": args.rank, "level": args.level},
@@ -183,7 +196,7 @@ def cmd_oxbury(args) -> Report:
         )
     if args.r is None or args.s is None:
         raise _usage_error("oxbury needs either --rank/--level or --r/--s")
-    rep = verlinde.oxbury_check(args.genus, args.r, args.s, args.precision)
+    rep = oxbury_check(args.genus, args.r, args.s, args.precision)
     return Report(
         "oxbury",
         {"genus": args.genus, "r": args.r, "s": args.s},
@@ -193,7 +206,9 @@ def cmd_oxbury(args) -> Report:
 
 
 def cmd_ranklevel(args) -> Report:
-    rep = branching.ranklevel_example(args.example, args.cache_dir)
+    from .branching import ranklevel_example
+
+    rep = ranklevel_example(args.example, args.cache_dir)
     outputs = {
         "dim_source": rep.dim_source,
         "dim_target": rep.dim_target,
@@ -216,6 +231,9 @@ def cmd_ranklevel(args) -> Report:
 
 
 def cmd_ranklevel_matrix(args) -> Report:
+    from .fock.ranklevel import ranklevel_matrix
+    from .weights import YoungDiagram
+
     y = YoungDiagram.parse(args.weights)
     m = ranklevel_matrix(y, args.r, args.s)
     return Report(
@@ -231,8 +249,11 @@ def cmd_ranklevel_matrix(args) -> Report:
 
 
 def cmd_clifford_eval(args) -> Report:
-    value = grammar.evaluate(args.expr, args.r, args.s)
-    if isinstance(value, blocks.QSqrt2):
+    from .fock.coeff import QSqrt2
+    from .fock.grammar import evaluate
+
+    value = evaluate(args.expr, args.r, args.s)
+    if isinstance(value, QSqrt2):
         outputs = {"value": str(value)}
     else:
         outputs = {"vector": str(value)}
@@ -245,7 +266,9 @@ def cmd_clifford_eval(args) -> Report:
 
 
 def cmd_theta_counts(args) -> Report:
-    total, even, odd = verlinde.theta_counts(args.genus)
+    from .verlinde import theta_counts
+
+    total, even, odd = theta_counts(args.genus)
     return Report(
         "theta-counts",
         {"genus": args.genus},
@@ -257,13 +280,20 @@ def cmd_theta_counts(args) -> Report:
 def _golden_checks(tab, cache_dir, dps):
     """Yield (name, ok, detail) for the bundled golden-number suite; `tab` is
     the so(5) level-3 table of the dual-oracle check."""
-    t2 = fusion.FusionTable(2, 1)
+    from . import branching, verlinde
+    from .fock import NS, FockState, FockVector, apply_LR, clifford_apply, vacuum
+    from .fock.ranklevel import ranklevel_matrix
+    from .fusion import FusionTable, LevelOneTable
+    from .rootsys import Weight
+    from .weights import YoungDiagram
+
+    t2 = FusionTable(2, 1)
     for g in range(2, 6):
         got = t2.dim_genus_g(g, [Weight.fundamental(2, 1)])
         want = 2 ** (g - 1) * (2 ** g - 1)
         yield f"N_{g}(omega_1, level 1) = {want}", got == want, f"got {got}"
     for r in (2, 5):
-        ring = fusion.LevelOneTable(r)
+        ring = LevelOneTable(r)
         ok = True
         for g in range(0, 4):
             for n in range(1, 4):
@@ -303,8 +333,6 @@ def _golden_checks(tab, cache_dir, dps):
     yield "strange duality det A = 0 at (2,2), Y=[1]", not m.determinant, str(
         m.determinant
     )
-    from .fock import NS, FockState, FockVector, apply_LR, clifford_apply, vacuum
-
     v1 = clifford_apply((-1, 1, 1), FockVector.unit(vacuum(NS)))
     want_v = clifford_apply((-1, 1, 0), FockVector.unit(vacuum(NS)))
     yield "Clifford: R(B^0_1) phi^{1,1}(-1/2) = phi^{1,0}(-1/2)", apply_LR(
@@ -324,7 +352,9 @@ def _golden_checks(tab, cache_dir, dps):
 
 
 def cmd_paper_check(args):
-    tab = fusion.FusionTable(2, 3, args.cache_dir)
+    from .fusion import FusionTable
+
+    tab = FusionTable(2, 3, args.cache_dir)
     failures = 0
     for name, ok, detail in _golden_checks(tab, args.cache_dir, args.precision):
         status = "PASS" if ok else "FAIL"
@@ -369,7 +399,7 @@ def build_parser() -> _Parser:
                 "--method", choices=("exact", "trig", "both"), default="exact"
             )
         sp.add_argument("--cache-dir", default=DEFAULT_CACHE)
-        sp.add_argument("--precision", type=int, default=verlinde.DEFAULT_DPS)
+        sp.add_argument("--precision", type=int, default=DEFAULT_DPS)
         sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("fusion", help="three-point fusion multiplicity")
@@ -425,7 +455,7 @@ def main(argv=None) -> int:
     except EngineDisagreement as exc:
         print(f"engine disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
-    except blocks.UnreducibleError as exc:
+    except UnreducibleError as exc:
         print(f"UNREDUCIBLE: {exc}", file=sys.stderr)
         return EXIT_UNREDUCIBLE
     except (ValueError, ArithmeticError, OSError) as exc:  # OSError: cache I/O

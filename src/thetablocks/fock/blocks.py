@@ -17,6 +17,7 @@ total count of mode -1 operators by one, which bounds the recursion.
 
 from __future__ import annotations
 
+from ..common import UnreducibleError
 from .algebra import bracket, invariant_form
 from .coeff import ONE, ZERO, QSqrt2
 from .forms import GroundStratumError, psi_pair, psitilde
@@ -25,11 +26,6 @@ from .states import FockState, FockVector
 
 PSI = "Psi"
 PSITILDE = "PsiTilde"
-
-
-class UnreducibleError(ValueError):
-    """A slot retained excitation outside its ground stratum after all
-    mode -1 operators were stripped."""
 
 
 def _transfers(i: int, budgets) -> list:

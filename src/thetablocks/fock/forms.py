@@ -17,29 +17,18 @@ class GroundStratumError(ValueError):
     """A form argument is not in the expected Ramond ground stratum."""
 
 
-def _sorted_sign(labels: list) -> tuple[tuple, int]:
-    """Sort labels ascending, returning the permutation parity."""
-    labels = list(labels)
-    sign = 1
-    for i in range(1, len(labels)):
-        v = labels[i]
-        j = i
-        while j > 0 and labels[j - 1] > v:
-            labels[j] = labels[j - 1]
-            j -= 1
-            sign = -sign
-        labels[j] = v
-    return tuple(labels), sign
-
-
 def _ground_labels(state: FockState, dual: bool) -> tuple[tuple, int]:
+    """The labels of a ground wedge in ascending order, with the parity of the
+    sort.  All modes are zero, so the wedge is strictly ascending in (j, p):
+    dual labels (j, p) come sorted, and standard labels (-j, -p) strictly
+    descending, which reversing sorts with n(n-1)/2 transpositions."""
     if state.dual != dual or not state.is_ground():
         raise GroundStratumError(f"state outside the ground stratum: {state}")
     if dual:
-        labels = [(j, p) for _, j, p in state.wedge]
-    else:
-        labels = [(-j, -p) for _, j, p in state.wedge]
-    return _sorted_sign(labels)
+        return tuple((j, p) for _, j, p in state.wedge), 1
+    n = len(state.wedge)
+    labels = tuple((-j, -p) for _, j, p in reversed(state.wedge))
+    return labels, -1 if (n * (n - 1) // 2) & 1 else 1
 
 
 def psi_pair(v: FockVector, w: FockVector) -> QSqrt2:

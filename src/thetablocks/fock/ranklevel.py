@@ -47,7 +47,7 @@ def ranklevel_matrix(y: YoungDiagram, r: int, s: int) -> RankLevelMatrix:
         columns: (v_lam, v^lam)  /  (twisted v-bar_lam, v-bar^lam)
     """
     require_rank(r)
-    require_rank(s)
+    require_rank(s, "s")
     if y.row(1) != s - 1 or not y.fits(r, s - 1):
         raise ValueError(
             f"need Y in the {r}x{s-1} box with first row exactly {s-1}, got {y}"

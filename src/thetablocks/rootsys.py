@@ -25,11 +25,12 @@ class RankError(ValueError):
     """Rank outside the supported range: so(2r+1) needs r >= 2."""
 
 
-def require_rank(r: int) -> None:
+def require_rank(r: int, name: str = "r") -> None:
+    """Reject a rank below 2; `name` is the argument the message names."""
     if r < 2:
         raise RankError(
-            f"so(2r+1) requires r >= 2 (got r={r}); "
-            "the highest-root convention theta = L1+L2 breaks at r = 1"
+            f"so(2{name}+1) requires {name} >= 2 (got {name}={r}); "
+            f"the highest-root convention theta = L1+L2 breaks at {name} = 1"
         )
 
 

@@ -18,10 +18,10 @@ from functools import lru_cache
 
 import mpmath
 
+from .common import DEFAULT_DPS
 from .rootsys import Weight, root_system, require_rank
 from .weights import check_level, enumerate_level
 
-DEFAULT_DPS = 50
 DEFAULT_TOL = 1e-6
 
 

@@ -1,8 +1,11 @@
+import hashlib
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
 import pytest
 
+from thetablocks import branching
 from thetablocks.branching import (
     BranchingError,
     EmbeddingParams,
@@ -15,8 +18,26 @@ from thetablocks.branching import (
     sewing_exponent,
     trace_anomaly,
 )
-from thetablocks.rootsys import Weight
-from thetablocks.weights import sigma, young_diagrams
+from thetablocks.rootsys import Weight, killing_form, root_system
+from thetablocks.weights import enumerate_level, sigma, young_diagrams
+
+
+def _ref_trace_anomaly(lam, ell):
+    """Reference: (lam, lam + 2 rho) / (2 (h_vee + ell)) with the Fraction
+    killing form in L-coordinates."""
+    r = lam.rank
+    rho = root_system(r).rho
+    shifted = tuple(c + 2 * p for c, p in zip(lam.coords, rho))
+    return killing_form(lam.coords, shifted) / (2 * (2 * r - 1 + ell))
+
+
+def _ref_sewing(lam, mu, Lambda, r, s):
+    p = EmbeddingParams(r, s)
+    return (
+        _ref_trace_anomaly(lam, p.levels[0])
+        + _ref_trace_anomaly(mu, p.levels[1])
+        - _ref_trace_anomaly(lambda_weight(Lambda, p.d), 1)
+    )
 
 
 class TestEmbedding:
@@ -41,6 +62,17 @@ class TestTraceAnomaly:
         assert trace_anomaly(Weight.fundamental(17, 1), 1) == F(1, 2)
         assert trace_anomaly(Weight.fundamental(3, 1), 5) == F(3, 10)
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_the_killing_form_reference(self, r):
+        for ell in range(1, 10):
+            for lam in enumerate_level(r, ell):
+                got = trace_anomaly(lam, ell)
+                assert type(got) is F and got == _ref_trace_anomaly(lam, ell)
+
+    def test_above_level_fails(self):
+        with pytest.raises(ValueError):
+            trace_anomaly(Weight.parse("2,1"), 2)
+
 
 class TestSewing:
     def test_vector_triple(self):
@@ -58,6 +90,21 @@ class TestSewing:
                 Weight.fundamental(2, 1), Weight.zero(2), "0", 2, 2
             )
 
+    def test_rejection_names_the_exponent(self):
+        lam, mu = Weight.fundamental(2, 1), Weight.zero(2)
+        m = _ref_sewing(lam, mu, "0", 2, 2)
+        with pytest.raises(BranchingError, match=f"is {m}, not a nonnegative"):
+            sewing_exponent(lam, mu, "0", 2, 2)
+
+    def test_weights_of_another_rank_use_their_own_anomaly(self):
+        # ranks swapped against (r, s) = (2, 3): each anomaly is taken at
+        # its weight's own rank, as the Fraction formula did
+        lam, mu = Weight.parse("1,0,0"), Weight.parse("1,0")
+        assert sewing_exponent(lam, mu, "1", 2, 3) == _ref_sewing(lam, mu, "1", 2, 3) == 0
+        lam = Weight.parse("1,0,0")
+        with pytest.raises(BranchingError, match="is 1/20, not"):
+            sewing_exponent(lam, lam, "1", 2, 3)
+
     @pytest.mark.parametrize("r,s", [(2, 2), (2, 3)])
     def test_all_bullets_integral(self, r, s):
         for lab in ("0", "1", "d"):
@@ -66,6 +113,31 @@ class TestSewing:
 
 
 class TestBranchPairs:
+    # sha256 over "r|s|Lambda|lam|mu|exponent|rule" lines for 2 <= r, s <= 3,
+    # taken from the Fraction implementation (230 triples)
+    PINNED = "299bc9e0854634cbe1fa2514c494423f089d0636490396cee4f6070256e420f0"
+
+    def test_exponents_and_rules_unchanged(self):
+        h = hashlib.sha256()
+        n = 0
+        for r in (2, 3):
+            for s in (2, 3):
+                for lab in ("0", "1", "d"):
+                    for t in branch_pairs(lab, r, s):
+                        assert t.exponent == _ref_sewing(t.lam, t.mu, lab, r, s)
+                        assert find_branch_rule(t.lam, t.mu, lab, r, s) is not None
+                        h.update(
+                            f"{r}|{s}|{lab}|{t.lam}|{t.mu}|{t.exponent}|{t.rule}\n"
+                            .encode()
+                        )
+                        n += 1
+        assert n == 230
+        assert h.hexdigest() == self.PINNED
+
+    def test_bad_label_fails(self):
+        with pytest.raises(ValueError, match="Lambda label must be one of"):
+            branch_pairs("2", 2, 2)
+
     def test_vacuum_contains_empty(self):
         tris = branch_pairs("0", 2, 2)
         assert any(t.lam == Weight.zero(2) and t.mu == Weight.zero(2) for t in tris)
@@ -156,6 +228,35 @@ class TestRankLevelReports:
                 ["1"],
                 strict=True,
             )
+
+    @pytest.mark.parametrize("n, labels", [(1, ["d", "1"]), (2, ["d", "1"]), (3, ["d", "1"])])
+    def test_work_guard_one_branch_list_per_lambda(self, monkeypatch, n, labels):
+        calls = []
+        real = branching.branch_pairs
+
+        def counted(Lambda, r, s):
+            calls.append(Lambda)
+            return real(Lambda, r, s)
+
+        monkeypatch.setattr(branching, "branch_pairs", counted)
+        rep = ranklevel_example(n)
+        assert calls == labels
+        assert len(rep.certificates) == len(rep.Lambdas) > len(labels)
+
+    def test_first_matching_rule_is_kept(self, monkeypatch):
+        # a pair listed under two bullets is certified by the first, in the
+        # report as in find_branch_rule
+        real = branching.branch_pairs
+
+        def listed_twice(Lambda, r, s):
+            tris = real(Lambda, r, s)
+            return tris + tuple(replace(t, rule="second") for t in tris)
+
+        monkeypatch.setattr(branching, "branch_pairs", listed_twice)
+        for t in real("1", 2, 2):
+            rep = ranklevel_report(2, 2, [t.lam], [t.mu], ["1"])
+            assert rep.certificates == (t.rule,)
+            assert find_branch_rule(t.lam, t.mu, "1", 2, 2) == t.rule
 
     def test_lambda_weight(self):
         assert lambda_weight("0", 12) == Weight.zero(12)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import thetablocks
 from thetablocks.cli import main
 from thetablocks.fusion import FusionTable
 from thetablocks.rootsys import Weight
@@ -116,9 +120,9 @@ class TestExitCodes:
         assert "has rank 2, expected rank 3" in captured.err
 
     def test_engine_disagreement_is_2(self, capsys, monkeypatch):
-        import thetablocks.cli as cli_mod
+        import thetablocks.verlinde
 
-        monkeypatch.setattr(cli_mod.verlinde, "dim_trig", lambda *a, **k: 999)
+        monkeypatch.setattr(thetablocks.verlinde, "dim_trig", lambda *a, **k: 999)
         rc = main([
             "fusion", "--rank", "2", "--level", "1",
             "--weights", "1,0;1,0;0,0", "--method", "both",
@@ -146,6 +150,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["ranklevel-matrix", "--weights", "[]", "--r", "2", "--s", "1"], "s"),
+        (["branch", "--r", "2", "--s", "1", "--Lambda", "0"], "s"),
+        (["branch", "--r", "1", "--s", "2", "--Lambda", "0"], "r"),
+    ])
+    def test_rank_error_names_its_argument(self, capsys, argv, name):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: so(2{name}+1) requires {name} >= 2 (got {name}=1)" in err
+        assert f"breaks at {name} = 1" in err
 
     @pytest.mark.parametrize("expr", ["Psi(1; 1; 1)", "PsiTilde(1; v[]; vopp[])"])
     def test_off_ground_stratum_is_3_under_both_forms(self, capsys, expr):
@@ -231,3 +246,46 @@ class TestCacheDeterminism:
             want.dim_genus_g(0, [Weight.parse(x) for x in weights.split(";")])
         want.product(w, w)
         assert FusionTable(2, 3, d)._products == want._products
+
+
+def _modules_after(code: str) -> set:
+    """The modules a fresh interpreter holds after running `code`."""
+    src = os.path.dirname(os.path.dirname(thetablocks.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _loaded(modules: set, *packages: str) -> set:
+    return {m for m in modules for p in packages if m == p or m.startswith(p + ".")}
+
+
+class TestStartUp:
+    """Start-up loads no engine: each subcommand imports what it uses."""
+
+    ENGINES = (
+        "thetablocks.fusion", "thetablocks.verlinde", "thetablocks.branching",
+        "thetablocks.fock", "mpmath",
+    )
+
+    def test_import_and_parsing_load_no_engine(self):
+        modules = _modules_after(
+            "import thetablocks.cli\n"
+            "argv = ['dim', '--genus', '2', '--rank', '2', '--level', '1']\n"
+            "assert thetablocks.cli.build_parser().parse_args(argv).precision == 50"
+        )
+        assert "thetablocks.cli" in modules
+        assert _loaded(modules, *self.ENGINES) == set()
+
+    def test_theta_counts_loads_only_the_oracle(self):
+        modules = _modules_after(
+            "from thetablocks.cli import main\n"
+            "assert main(['theta-counts', '--genus', '2']) == 0"
+        )
+        assert "thetablocks.verlinde" in modules
+        assert _loaded(
+            modules, "thetablocks.fusion", "thetablocks.branching", "thetablocks.fock"
+        ) == set()

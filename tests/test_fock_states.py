@@ -20,6 +20,7 @@ from thetablocks.fock import (
     clifford_apply,
     vacuum,
 )
+from thetablocks.fock.forms import GroundStratumError, _ground_labels
 from thetablocks.fock.states import clifford_state
 
 
@@ -383,3 +384,48 @@ class TestKernelsMatchTheVectorLevelReference:
         op = BilinearOp((0, 0), (1, 0), 0)
         want = -INV_SQRT2 * FockVector.unit(FockState(R, ((0, -1, 0),)))
         assert apply_bilinear(op, v) == want == _reference_apply_bilinear(op, v)
+
+
+def _sorted_sign(labels: list) -> tuple[tuple, int]:
+    """Reference: insertion-sort labels ascending, tracking the permutation
+    parity."""
+    labels = list(labels)
+    sign = 1
+    for i in range(1, len(labels)):
+        v = labels[i]
+        j = i
+        while j > 0 and labels[j - 1] > v:
+            labels[j] = labels[j - 1]
+            j -= 1
+            sign = -sign
+        labels[j] = v
+    return tuple(labels), sign
+
+
+class TestGroundLabels:
+    @given(st.sets(st.tuples(_IDX, _IDX), max_size=8), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_insertion_sort(self, pairs, dual):
+        state = FockState(R, tuple((0, j, p) for j, p in sorted(pairs)), dual)
+        if dual:
+            labels = [(j, p) for _, j, p in state.wedge]
+        else:
+            labels = [(-j, -p) for _, j, p in state.wedge]
+        assert _ground_labels(state, dual) == _sorted_sign(labels)
+
+    def test_sign_of_a_standard_wedge(self):
+        wedge = ((0, -2, 0), (0, -1, -1), (0, -1, 0))  # n = 3: three swaps
+        state = FockState(R, wedge)
+        assert _ground_labels(state, False) == (((1, 0), (1, 1), (2, 0)), -1)
+        assert _ground_labels(FockState(R, wedge[:2]), False)[1] == -1
+        assert _ground_labels(FockState(R, ()), False) == ((), 1)
+
+    @pytest.mark.parametrize("state, dual", [
+        (FockState(R, ((0, -1, 0),)), True),
+        (FockState(R, ((0, 1, 0),), True), False),
+        (FockState(R, ((-2, 1, 1), (0, -1, 0))), False),
+        (FockState(NS, ((-1, 1, 0),)), False),
+    ])
+    def test_outside_the_ground_stratum_fails(self, state, dual):
+        with pytest.raises(GroundStratumError):
+            _ground_labels(state, dual)
