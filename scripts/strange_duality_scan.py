@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Scan the elliptic rank-level matrix over small (r, s) and all diagrams in
-the r x (s-1) box with first row exactly s-1, printing each matrix and its
-determinant, then the number of matrices scanned and the total time.  Every
-determinant comes out exactly zero in Q[sqrt(2)]: the sigma-orbit pair of
-columns is dependent, which is the strange-duality failure mechanism.
+the r x (s-1) box with first row exactly s-1, printing each matrix, its
+determinant and its time in milliseconds, then the number of matrices
+scanned and the total time in seconds.  Every determinant comes out exactly
+zero in Q[sqrt(2)]: the sigma-orbit pair of columns is dependent, which is
+the strange-duality failure mechanism.
 
 Usage: python scripts/strange_duality_scan.py [rmax] [smax]
 (integers >= 2, default 3 3; exit 1 on bad arguments or a nonzero determinant)
@@ -36,7 +37,7 @@ def main(rmax: int = 3, smax: int = 3) -> int:
                     nonzero += 1
                 print(
                     f"(r,s)=({r},{s})  Y={str(y):8s}  A = [{flat[0]}, {flat[1]}; "
-                    f"{flat[2]}, {flat[3]}]  {status}   [{time.monotonic()-t0:.2f} s]"
+                    f"{flat[2]}, {flat[3]}]  {status}   [{1000 * (time.monotonic() - t0):.1f} ms]"
                 )
     print("all determinants vanish" if not nonzero else f"{nonzero} NONZERO determinants")
     print(f"{scanned} matrices scanned in {time.monotonic() - start:.2f} s")

@@ -4,7 +4,7 @@ Fock modules of so(2d+1), in operator ("Kac-Moody") or wedge form."""
 from __future__ import annotations
 
 from .operators import BilinearOp, apply_word
-from .states import NS, R, FockVector, clifford_apply, vacuum
+from .states import NS, R, FockState, FockVector, _index_positive, vacuum
 from ..weights import YoungDiagram
 
 
@@ -20,12 +20,38 @@ def black_positions(y: YoungDiagram, r: int, s: int) -> list[tuple[int, int]]:
     return out
 
 
+def _permutation_sign(order: list[int]) -> int:
+    """Sign of a permutation of range(n): each cycle of length L flips it
+    L - 1 times."""
+    sign = 1
+    seen = [False] * len(order)
+    for start in range(len(order)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        i = order[start]
+        while i != start:
+            seen[i] = True
+            i = order[i]
+            sign = -sign
+    return sign
+
+
 def _wedge_vector(sector: str, dual: bool, gens) -> FockVector:
-    """Wedge the listed generators left to right onto the vacuum."""
-    v = FockVector.unit(vacuum(sector, dual))
-    for g in reversed(list(gens)):
-        v = clifford_apply(g, v)
-    return v
+    """The product of the listed generators, left to right, on the vacuum:
+    one sort into the canonical wedge, signed by the parity of the sorting
+    permutation, and zero when a generator repeats.  Every generator must
+    create on the vacuum (negative mode, or a zero mode the realization
+    keeps), else ValueError."""
+    gens = list(gens)
+    for tm, j, p in gens:
+        if not (tm < 0 or (tm == 0 and (j, p) != (0, 0) and _index_positive(j, p) == dual)):
+            raise ValueError(f"generator {(tm, j, p)} does not create on the vacuum")
+    order = sorted(range(len(gens)), key=gens.__getitem__)
+    wedge = tuple(gens[i] for i in order)
+    if any(a == b for a, b in zip(wedge, wedge[1:])):
+        return FockVector.zero()
+    return FockVector.unit(FockState(sector, wedge, dual), _permutation_sign(order))
 
 
 def spin_hwv(y: YoungDiagram, r: int, s: int) -> FockVector:

@@ -74,6 +74,30 @@ class FockState:
         return not w or w[0][0] == 0 == w[-1][0]
 
 
+# the slot setters of FockState, for the private constructor below
+_set_fields = (
+    FockState.sector.__set__,
+    FockState.wedge.__set__,
+    FockState.dual.__set__,
+    FockState.energy2.__set__,
+    FockState._hash.__set__,
+)
+
+
+def _derived_state(sector: str, wedge: tuple[Gen, ...], dual: bool, energy2: int) -> FockState:
+    """A FockState built without the checks of __post_init__: the caller
+    guarantees a strictly sorted wedge of the sector's parity and passes its
+    energy2.  The hash is the one the public constructor computes."""
+    set_sector, set_wedge, set_dual, set_energy2, set_hash = _set_fields
+    state = object.__new__(FockState)
+    set_sector(state, sector)
+    set_wedge(state, wedge)
+    set_dual(state, dual)
+    set_energy2(state, energy2)
+    set_hash(state, hash((sector, wedge, dual)))
+    return state
+
+
 def vacuum(sector: str, dual: bool = False) -> FockState:
     return FockState(sector, (), dual)
 
@@ -160,6 +184,11 @@ def clifford_state(gen: Gen, state: FockState):
     Creations wedge (with the reordering sign), annihilations contract via
     the pairing {phi^{a}(m), phi^{b}(n)} = delta_{a+b,0} delta_{m+n,0}, and
     the R-sector zero mode at raw index (0,0) acts by (-1)^deg / sqrt(2).
+
+    The image is derived from the source state unchecked: inserting an
+    absent generator at its bisect position, or removing the one paired
+    generator, keeps the wedge strictly sorted, the sector is checked on
+    entry, and either way the energy drops by the mode, energy2 - tm.
     """
     tm, j, p = gen
     if tm & 1 != (state.sector == NS):
@@ -180,7 +209,8 @@ def clifford_state(gen: Gen, state: FockState):
         if i == len(w) or w[i] != pair:
             return None
         new = w[:i] + w[i + 1 :]
-    return FockState(state.sector, new, state.dual), (-1 if i & 1 else 1)
+    image = _derived_state(state.sector, new, state.dual, state.energy2 - tm)
+    return image, (-1 if i & 1 else 1)
 
 
 def clifford_apply(gen: Gen, v: FockVector) -> FockVector:

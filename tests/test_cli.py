@@ -101,6 +101,16 @@ class TestExitCodes:
             main(["dim", "--genus", "nope"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_precision_below_one_is_1(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "--genus", "2", "--rank", "2", "--level", "3",
+                  "--method", "trig", "--precision", value])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --precision: must be at least 1 digit (got {value})" in captured.err
+
     def test_unknown_subcommand_is_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -339,8 +339,10 @@ class TestWorkGuard:
 
     def test_vector_constructions_of_one_matrix(self, monkeypatch):
         """A bilinear builds one FockVector per call, however many mode splits
-        act: the same matrix builds 79 vectors (500 when each split built a
-        unit vector and each partial sum copied the output)."""
+        act, and a wedge vector builds one: the same matrix builds 57 vectors
+        (79 when each wedge generator built one through clifford_apply, 500
+        when each split built a unit vector and each partial sum copied the
+        output)."""
         original = FockVector.__init__
         built = []
 
@@ -353,7 +355,26 @@ class TestWorkGuard:
         assert ",".join(str(e) for row in m.entries for e in row) == (
             PINNED_SCAN["r3s3:[2,1]"][0]
         )
-        assert len(built) == 79
+        assert len(built) == 57
+
+    def test_checked_state_constructions_of_one_matrix(self, monkeypatch):
+        """Clifford images are derived from their source states unchecked and
+        a wedge vector checks its one state: the same matrix runs the checks
+        of the public FockState constructor 7 times (95 when every image
+        state and every wedge step was checked)."""
+        original = FockState.__post_init__
+        checked = []
+
+        def counted(self):
+            checked.append(1)
+            original(self)
+
+        monkeypatch.setattr(FockState, "__post_init__", counted)
+        m = ranklevel_matrix(YoungDiagram.parse("[2,1]"), 3, 3)
+        assert ",".join(str(e) for row in m.entries for e in row) == (
+            PINNED_SCAN["r3s3:[2,1]"][0]
+        )
+        assert len(checked) == 7
 
 
 class TestScanScript:

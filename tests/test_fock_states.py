@@ -21,6 +21,7 @@ from thetablocks.fock import (
     vacuum,
 )
 from thetablocks.fock.forms import GroundStratumError, _ground_labels
+from thetablocks.fock.hwv import _wedge_vector
 from thetablocks.fock.states import clifford_state
 
 
@@ -384,6 +385,90 @@ class TestKernelsMatchTheVectorLevelReference:
         op = BilinearOp((0, 0), (1, 0), 0)
         want = -INV_SQRT2 * FockVector.unit(FockState(R, ((0, -1, 0),)))
         assert apply_bilinear(op, v) == want == _reference_apply_bilinear(op, v)
+
+
+class TestDerivedStates:
+    """clifford_state derives each image state from its source unchecked; the
+    image must be the state the checked constructor builds."""
+
+    @given(st.data(), st.sampled_from([NS, R]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_images_equal_the_checked_states(self, data, sector, dual):
+        state = data.draw(_states(sector, dual))
+        tms = [-5, -3, -1, 1, 3] if sector == NS else [-4, -2, 0, 2]
+        gens = st.tuples(st.sampled_from(tms), _IDX, _IDX)
+        for _ in range(data.draw(st.integers(1, 4))):
+            # the pair of a stored generator always contracts
+            pairs = [(-tm, -j, -p) for tm, j, p in state.wedge]
+            gen = data.draw(st.one_of(gens, st.sampled_from(pairs)) if pairs else gens)
+            hit = clifford_state(gen, state)
+            if hit is None:
+                continue
+            image = hit[0]
+            checked = FockState(image.sector, image.wedge, image.dual)
+            assert (image.sector, image.dual) == (sector, dual)
+            assert image == checked
+            assert image.energy2 == checked.energy2
+            assert hash(image) == hash(checked)
+            state = image
+
+
+def _reference_wedge_vector(sector, dual, gens) -> FockVector:
+    """The generators applied right to left to the vacuum, one Clifford
+    action each."""
+    v = FockVector.unit(vacuum(sector, dual))
+    for g in reversed(list(gens)):
+        v = clifford_apply(g, v)
+    return v
+
+
+@st.composite
+def _creations(draw, sector, dual):
+    """Generators that create on the vacuum of the sector and realization."""
+    tms = [-5, -3, -1] if sector == NS else [-4, -2, 0]
+    gen = draw(st.tuples(st.sampled_from(tms), _IDX, _IDX))
+    if gen[0] == 0 and (gen[1:] == (0, 0) or not _is_creation(gen, dual)):
+        gen = (-2,) + gen[1:]
+    return gen
+
+
+class TestWedgeVector:
+    """_wedge_vector sorts once and signs by the permutation parity; the
+    Clifford loop it replaced is the reference."""
+
+    @given(st.data(), st.sampled_from([NS, R]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_distinct_creations(self, data, sector, dual):
+        gens = data.draw(st.lists(_creations(sector, dual), unique=True, max_size=8))
+        got = _wedge_vector(sector, dual, gens)
+        assert got == _reference_wedge_vector(sector, dual, gens)
+        assert got.coefficient(FockState(sector, tuple(sorted(gens)), dual)) in (ONE, -ONE)
+
+    @given(st.data(), st.sampled_from([NS, R]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_a_repeated_generator_gives_zero(self, data, sector, dual):
+        gens = data.draw(st.lists(_creations(sector, dual), min_size=1, max_size=6))
+        twin = data.draw(st.sampled_from(gens))
+        gens.insert(data.draw(st.integers(0, len(gens))), twin)
+        assert not _wedge_vector(sector, dual, gens)
+        assert not _reference_wedge_vector(sector, dual, gens)
+
+    def test_sign_of_a_reversed_list(self):
+        gens = [(-1, j, 1) for j in (3, 2, 1)]  # one transposition: sign -1
+        want = FockVector.unit(FockState(NS, tuple(sorted(gens))), -1)
+        assert _wedge_vector(NS, False, gens) == want
+
+    @pytest.mark.parametrize("sector, dual, gen", [
+        (NS, False, (1, 1, 0)),
+        (R, False, (2, 1, 0)),
+        (R, False, (0, 1, 0)),
+        (R, True, (0, -1, 0)),
+        (R, False, (0, 0, 0)),
+    ])
+    def test_a_non_creation_fails(self, sector, dual, gen):
+        ok = (-1, 2, 0) if sector == NS else (-2, 2, 0)
+        with pytest.raises(ValueError, match="does not create"):
+            _wedge_vector(sector, dual, [ok, gen])
 
 
 def _sorted_sign(labels: list) -> tuple[tuple, int]:
