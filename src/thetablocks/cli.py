@@ -387,75 +387,59 @@ def _precision(text: str) -> int:
     return dps
 
 
+# Argument specs: the flag and its argparse keywords.
+RANK = ("--rank", {"type": int, "required": True})
+LEVEL = ("--level", {"type": int, "required": True})
+GENUS = ("--genus", {"type": int, "required": True})
+WEIGHTS = ("--weights", {"required": True})
+R = ("--r", {"type": int, "required": True})
+S = ("--s", {"type": int, "required": True})
+LAMBDA = ("--Lambda", {"choices": ("0", "1", "d"), "required": True})
+METHOD = ("--method", {"choices": ("exact", "trig", "both"), "default": "exact"})
+
+
+def _optional(spec):
+    flag, kwargs = spec
+    return flag, {**kwargs, "required": False}
+
+
+# Taken by every subcommand, after its own arguments.
+COMMON_ARGS = (
+    ("--cache-dir", {"default": DEFAULT_CACHE}),
+    ("--precision", {"type": _precision, "default": DEFAULT_DPS}),
+    ("--json", {"action": "store_true"}),
+)
+
+# One row per subcommand: name, help, handler, its own arguments in order.
+SUBCOMMANDS = (
+    ("fusion", "three-point fusion multiplicity", cmd_fusion,
+     (RANK, LEVEL, WEIGHTS, METHOD)),
+    ("dim", "genus-g n-point dimension", cmd_dim,
+     (RANK, LEVEL, GENUS, _optional(WEIGHTS), METHOD)),
+    ("branch", "branching pairs B(Lambda)", cmd_branch, (R, S, LAMBDA)),
+    ("sewing", "sewing exponent of a branching pair", cmd_sewing,
+     (WEIGHTS, R, S, LAMBDA)),
+    ("oxbury", "Oxbury-Wilson sums and the symmetry check", cmd_oxbury,
+     (_optional(RANK), _optional(LEVEL), GENUS, _optional(R), _optional(S))),
+    ("ranklevel", "bundled rank-level comparison reports", cmd_ranklevel,
+     (("--example", {"type": int, "choices": (1, 2, 3), "required": True}),)),
+    ("ranklevel-matrix", "the 2x2 elliptic matrix and det", cmd_ranklevel_matrix,
+     (WEIGHTS, R, S)),
+    ("clifford-eval", "evaluate a Clifford expression", cmd_clifford_eval,
+     (("expr", {}), _optional(R), _optional(S))),
+    ("theta-counts", "theta-characteristic counts", cmd_theta_counts, (GENUS,)),
+    ("paper-check", "run the bundled golden-number suite", cmd_paper_check, ()),
+)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="theta-blocks", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp, *names):
-        if "rank" in names or "rank?" in names:
-            sp.add_argument("--rank", type=int, required="rank" in names)
-        if "level" in names or "level?" in names:
-            sp.add_argument("--level", type=int, required="level" in names)
-        if "genus" in names:
-            sp.add_argument("--genus", type=int, required=True)
-        if "weights" in names or "weights?" in names:
-            sp.add_argument("--weights", required="weights" in names)
-        if "rs" in names or "rs?" in names:
-            req = "rs" in names
-            sp.add_argument("--r", type=int, required=req)
-            sp.add_argument("--s", type=int, required=req)
-        if "Lambda" in names:
-            sp.add_argument("--Lambda", choices=("0", "1", "d"), required=True)
-        if "method" in names:
-            sp.add_argument(
-                "--method", choices=("exact", "trig", "both"), default="exact"
-            )
-        sp.add_argument("--cache-dir", default=DEFAULT_CACHE)
-        sp.add_argument("--precision", type=_precision, default=DEFAULT_DPS)
-        sp.add_argument("--json", action="store_true")
-
-    sp = sub.add_parser("fusion", help="three-point fusion multiplicity")
-    common(sp, "rank", "level", "weights", "method")
-    sp.set_defaults(func=cmd_fusion)
-
-    sp = sub.add_parser("dim", help="genus-g n-point dimension")
-    common(sp, "rank", "level", "genus", "weights?", "method")
-    sp.set_defaults(func=cmd_dim)
-
-    sp = sub.add_parser("branch", help="branching pairs B(Lambda)")
-    common(sp, "rs", "Lambda")
-    sp.set_defaults(func=cmd_branch)
-
-    sp = sub.add_parser("sewing", help="sewing exponent of a branching pair")
-    common(sp, "rs", "Lambda", "weights")
-    sp.set_defaults(func=cmd_sewing)
-
-    sp = sub.add_parser("oxbury", help="Oxbury-Wilson sums and the symmetry check")
-    common(sp, "rank?", "level?", "genus", "rs?")
-    sp.set_defaults(func=cmd_oxbury)
-
-    sp = sub.add_parser("ranklevel", help="bundled rank-level comparison reports")
-    sp.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_ranklevel)
-
-    sp = sub.add_parser("ranklevel-matrix", help="the 2x2 elliptic matrix and det")
-    common(sp, "rs", "weights")
-    sp.set_defaults(func=cmd_ranklevel_matrix)
-
-    sp = sub.add_parser("clifford-eval", help="evaluate a Clifford expression")
-    sp.add_argument("expr")
-    common(sp, "rs?")
-    sp.set_defaults(func=cmd_clifford_eval)
-
-    sp = sub.add_parser("theta-counts", help="theta-characteristic counts")
-    common(sp, "genus")
-    sp.set_defaults(func=cmd_theta_counts)
-
-    sp = sub.add_parser("paper-check", help="run the bundled golden-number suite")
-    common(sp)
-    sp.set_defaults(func=cmd_paper_check)
-
+    for name, help_text, handler, args in SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in args + COMMON_ARGS:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=handler)
     return p
 
 

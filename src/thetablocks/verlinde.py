@@ -88,6 +88,8 @@ def dim_trig(
     tol: float = DEFAULT_TOL,
 ) -> int:
     """Verlinde dimension sum(mu) S_{0mu}^{2-2g-n} prod_i S_{lam_i,mu}."""
+    if g < 0:
+        raise ValueError("genus must be >= 0")
     lams = list(lams)
     for w in lams:
         check_level(w, ell)

@@ -111,6 +111,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"argument --precision: must be at least 1 digit (got {value})" in captured.err
 
+    @pytest.mark.parametrize("method", ["exact", "trig", "both"])
+    def test_negative_genus_is_1_under_every_method(self, capsys, method):
+        rc = main(["dim", "--genus", "-1", "--rank", "2", "--level", "3",
+                   "--weights", "1/2,1/2", "--method", method])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: genus must be >= 0\n"
+
     def test_unknown_subcommand_is_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -179,6 +188,31 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("UNREDUCIBLE: ")
+
+
+# stdout, stderr and exit code of `theta-blocks --help`, of `--help` for each
+# subcommand and of three usage errors, recorded at 80 columns from the
+# hand-written parser that the subcommand table replaced
+with open(os.path.join(os.path.dirname(__file__), "cli_surface.json"), encoding="utf-8") as _fh:
+    PINNED_SURFACE = json.load(_fh)
+
+
+class TestPinnedSurface:
+    def test_covers_every_subcommand(self):
+        from thetablocks.cli import SUBCOMMANDS
+
+        helped = {r["argv"][0] for r in PINNED_SURFACE if r["argv"][1:] == ["--help"]}
+        assert helped == {name for name, *_ in SUBCOMMANDS}
+
+    @pytest.mark.parametrize("pinned", PINNED_SURFACE, ids=lambda r: " ".join(r["argv"]))
+    def test_output_unchanged(self, capsys, monkeypatch, pinned):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(pinned["argv"])
+        assert exc.value.code == pinned["exit"]
+        captured = capsys.readouterr()
+        assert captured.out == pinned["stdout"]
+        assert captured.err == pinned["stderr"]
 
 
 class TestCacheDeterminism:

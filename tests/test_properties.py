@@ -56,9 +56,7 @@ class TestStarInvolution:
 class TestFoldProperties:
     @given(
         st.lists(
-            st.fractions(min_value=-6, max_value=6).filter(
-                lambda q: q.denominator in (1, 2)
-            ),
+            st.integers(-12, 12).map(lambda n: F(n, 2)),
             min_size=2,
             max_size=4,
         )

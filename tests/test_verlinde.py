@@ -61,6 +61,13 @@ class TestDimTrig:
         w1 = Weight.fundamental(2, 1)
         assert dim_trig(0, [lam, lam, w1, w1], 2, 7) == 4
 
+    def test_negative_genus_raises_like_the_exact_engine(self):
+        lams = [Weight.parse("1/2,1/2")]
+        with pytest.raises(ValueError, match="genus must be >= 0"):
+            FusionTable(2, 3).dim_genus_g(-1, lams)
+        with pytest.raises(ValueError, match="genus must be >= 0"):
+            dim_trig(-1, lams, 2, 3)
+
 
 class TestOxbury:
     def test_char_sign(self):
