@@ -194,6 +194,8 @@ def oxbury_check(
 ) -> OxburyReport:
     """Check N_g^0(so(2r+1), 2s+1) = N_g^0(so(2s+1), 2r+1), both sides
     evaluated independently."""
+    require_rank(r)
+    require_rank(s, "s")  # s is the rank of the right side
     lhs = n0_oxbury(g, r, 2 * s + 1, dps, tol)
     rhs = n0_oxbury(g, s, 2 * r + 1, dps, tol)
     return OxburyReport(g, r, s, lhs, rhs, lhs == rhs)

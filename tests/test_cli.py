@@ -174,12 +174,26 @@ class TestExitCodes:
         (["ranklevel-matrix", "--weights", "[]", "--r", "2", "--s", "1"], "s"),
         (["branch", "--r", "2", "--s", "1", "--Lambda", "0"], "s"),
         (["branch", "--r", "1", "--s", "2", "--Lambda", "0"], "r"),
+        (["oxbury", "--genus", "2", "--r", "2", "--s", "1"], "s"),
+        (["oxbury", "--genus", "2", "--r", "1", "--s", "2"], "r"),
     ])
     def test_rank_error_names_its_argument(self, capsys, argv, name):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"error: so(2{name}+1) requires {name} >= 2 (got {name}=1)" in err
         assert f"breaks at {name} = 1" in err
+
+    def test_oxbury_rejects_s_before_any_sum(self, capsys, monkeypatch):
+        from thetablocks import verlinde
+
+        def no_sum(*args):
+            raise AssertionError("n0_oxbury ran before the rank checks")
+
+        monkeypatch.setattr(verlinde, "n0_oxbury", no_sum)
+        assert main(["oxbury", "--genus", "2", "--r", "2", "--s", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: so(2s+1) requires s >= 2 (got s=0)")
 
     @pytest.mark.parametrize("expr", ["Psi(1; 1; 1)", "PsiTilde(1; v[]; vopp[])"])
     def test_off_ground_stratum_is_3_under_both_forms(self, capsys, expr):

@@ -14,7 +14,6 @@ from thetablocks.fock import (
     NS,
     PSI,
     PSITILDE,
-    BilinearOp,
     FockState,
     FockVector,
     QSqrt2,
@@ -32,9 +31,20 @@ from thetablocks.fock import (
 )
 from thetablocks.fock import operators
 from thetablocks.fock.blocks import kacmoody_slot
-from thetablocks.fock.hwv import filled_first_row, sigma_twist_ops
-from thetablocks.fock.ranklevel import _ns_vacuum_slot, _phi10_base, _tilde_word
+from thetablocks.fock.ranklevel import (
+    _complement_matrix,
+    _matrix_slots,
+    _ns_vacuum_slot,
+    _representative,
+)
 from thetablocks.weights import YoungDiagram, young_diagrams
+
+
+@pytest.fixture(autouse=True)
+def _cold_matrix_memo():
+    """Each test sees a cold matrix memo, so a work count does not depend on
+    which test evaluated the same complement before it."""
+    _complement_matrix.cache_clear()
 
 
 def ns_monomial(*pairs):
@@ -155,14 +165,7 @@ class TestRankLevelMatrix:
 
 class TestOrderIndependence:
     def test_a22_all_strip_orders(self):
-        r = s = 2
-        y = YoungDiagram.parse("[1]")
-        ybar = filled_first_row(y, s)
-        twist = tuple(sigma_twist_ops(y, r, s))
-        twist_op = tuple(BilinearOp((0, 0), op.upper, -1) for op in twist)
-        vbar = SlotExpression(twist, spin_hwv(ybar, r, s))
-        vbar_op = SlotExpression(twist_op, spin_hwv_opposite(ybar, r, s))
-        tilde = SlotExpression(_tilde_word(r), _phi10_base())
+        _, _, _, vbar, vbar_op, tilde = _matrix_slots(YoungDiagram.parse("[1]"), 2, 2)
         vals = {
             str(
                 evaluate_block(
@@ -174,17 +177,9 @@ class TestOrderIndependence:
         assert vals == {"-1/8√2"}
 
     def test_a12_both_orders(self):
-        r = s = 2
-        y = YoungDiagram.parse("[1]")
-        ybar = filled_first_row(y, s)
-        twist = tuple(sigma_twist_ops(y, r, s))
-        twist_op = tuple(BilinearOp((0, 0), op.upper, -1) for op in twist)
-        vbar = SlotExpression(twist, spin_hwv(ybar, r, s))
-        vbar_op = SlotExpression(twist_op, spin_hwv_opposite(ybar, r, s))
+        vac, _, _, vbar, vbar_op, _ = _matrix_slots(YoungDiagram.parse("[1]"), 2, 2)
         for order in ((1, 2), (2, 1)):
-            val = evaluate_block(
-                _ns_vacuum_slot(), vbar, vbar_op, PSI, strip_order=order
-            )
+            val = evaluate_block(vac, vbar, vbar_op, PSI, strip_order=order)
             assert val == QSqrt2(F(-1, 2))
 
 
@@ -253,22 +248,6 @@ def _scan(rmax: int, smax: int) -> dict:
     return out
 
 
-def _matrix_slots(y, r, s):
-    """The slot objects of ranklevel_matrix: (vacuum, v, v_op, vbar,
-    vbar_op, tilde)."""
-    ybar = filled_first_row(y, s)
-    twist = tuple(sigma_twist_ops(y, r, s))
-    twist_op = tuple(BilinearOp((0, 0), op.upper, -1) for op in twist)
-    return (
-        _ns_vacuum_slot(),
-        SlotExpression((), spin_hwv(y, r, s)),
-        SlotExpression((), spin_hwv_opposite(y, r, s)),
-        SlotExpression(twist, spin_hwv(ybar, r, s)),
-        SlotExpression(twist_op, spin_hwv_opposite(ybar, r, s)),
-        SlotExpression(_tilde_word(r), _phi10_base()),
-    )
-
-
 def _entries(slots, strip_order=None) -> str:
     vac, v, v_op, vbar, vbar_op, tilde = slots
     vals = (
@@ -315,22 +294,68 @@ class TestSlotMemo:
             assert _entries(slots, order) == expected
 
 
+def _count_bilinears(monkeypatch) -> list:
+    """The list every fock-module call of apply_bilinear appends its op to."""
+    original = operators.apply_bilinear
+    calls = []
+
+    def counted(op, v):
+        calls.append(op)
+        return original(op, v)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("thetablocks.fock")
+                and getattr(mod, "apply_bilinear", None) is original):
+            monkeypatch.setattr(mod, "apply_bilinear", counted)
+    return calls
+
+
+class TestComplementMemo:
+    """The matrix depends on (Y, s) only through the complement
+    c_j = s - Y_j, so one memo entry per (r, c) serves every box."""
+
+    def test_slots_depend_only_on_the_complement(self):
+        """Over the perfbench fock box (2 <= r <= 5, 2 <= s <= 6) every
+        diagram's slots equal those of its smallest-box representative; the
+        451 diagrams have 209 distinct complements."""
+        keys, mismatches, scanned = set(), [], 0
+        for r in range(2, 6):
+            for s in range(2, 7):
+                for y in young_diagrams(r, s - 1):
+                    if y.row(1) != s - 1:
+                        continue
+                    comp = tuple(s - y.row(j) for j in range(1, r + 1))
+                    y0, s0 = _representative(comp)
+                    assert y0.row(1) == s0 - 1 and y0.fits(r, s0 - 1) and s0 <= s
+                    if _matrix_slots(y, r, s) != _matrix_slots(y0, r, s0):
+                        mismatches.append(f"r{r}s{s}:{y}")
+                    keys.add((r, comp))
+                    scanned += 1
+        assert mismatches == []
+        assert (scanned, len(keys)) == (451, 209)
+
+    def test_equal_complement_applies_no_bilinear(self, monkeypatch):
+        """[2,1] at s = 3 and [3,2,1] at s = 4 share the complement (1,2,3):
+        the second matrix comes from the memo and carries its own Y and s."""
+        ranklevel_matrix(YoungDiagram.parse("[2,1]"), 3, 3)
+        calls = _count_bilinears(monkeypatch)
+        m = ranklevel_matrix(YoungDiagram.parse("[3,2,1]"), 3, 4)
+        assert calls == []
+        assert (str(m.y), m.r, m.s) == ("[3,2,1]", 3, 4)
+        entries = ",".join(str(e) for row in m.entries for e in row)
+        assert (entries, str(m.determinant)) == PINNED_SCAN["r3s4:[3,2,1]"]
+
+    def test_memo_is_bounded_and_holds_the_fock_box(self):
+        maxsize = _complement_matrix.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 209
+
+
 class TestWorkGuard:
     def test_bilinear_calls_of_one_matrix(self, monkeypatch):
         """Each slot value is computed once per expression: the 2x2 matrix
         of (r, s, Y) = (3, 3, [2,1]) applies 44 bilinears (72 when every
         reduction step re-applied each slot's whole word)."""
-        original = operators.apply_bilinear
-        calls = []
-
-        def counted(op, v):
-            calls.append(op)
-            return original(op, v)
-
-        for mod in list(sys.modules.values()):
-            if (getattr(mod, "__name__", "").startswith("thetablocks.fock")
-                    and getattr(mod, "apply_bilinear", None) is original):
-                monkeypatch.setattr(mod, "apply_bilinear", counted)
+        calls = _count_bilinears(monkeypatch)
         m = ranklevel_matrix(YoungDiagram.parse("[2,1]"), 3, 3)
         assert ",".join(str(e) for row in m.entries for e in row) == (
             PINNED_SCAN["r3s3:[2,1]"][0]
@@ -339,10 +364,11 @@ class TestWorkGuard:
 
     def test_vector_constructions_of_one_matrix(self, monkeypatch):
         """A bilinear builds one FockVector per call, however many mode splits
-        act, and a wedge vector builds one: the same matrix builds 57 vectors
-        (79 when each wedge generator built one through clifford_apply, 500
-        when each split built a unit vector and each partial sum copied the
-        output)."""
+        act, a wedge vector builds one, and the two Psi entries share one
+        vacuum slot: the same matrix builds 56 vectors (57 with a vacuum slot
+        per entry, 79 when each wedge generator built one through
+        clifford_apply, 500 when each split built a unit vector and each
+        partial sum copied the output)."""
         original = FockVector.__init__
         built = []
 
@@ -355,13 +381,14 @@ class TestWorkGuard:
         assert ",".join(str(e) for row in m.entries for e in row) == (
             PINNED_SCAN["r3s3:[2,1]"][0]
         )
-        assert len(built) == 57
+        assert len(built) == 56
 
     def test_checked_state_constructions_of_one_matrix(self, monkeypatch):
         """Clifford images are derived from their source states unchecked and
         a wedge vector checks its one state: the same matrix runs the checks
-        of the public FockState constructor 7 times (95 when every image
-        state and every wedge step was checked)."""
+        of the public FockState constructor 6 times (7 with a vacuum slot
+        per Psi entry, 95 when every image state and every wedge step was
+        checked)."""
         original = FockState.__post_init__
         checked = []
 
@@ -374,7 +401,7 @@ class TestWorkGuard:
         assert ",".join(str(e) for row in m.entries for e in row) == (
             PINNED_SCAN["r3s3:[2,1]"][0]
         )
-        assert len(checked) == 7
+        assert len(checked) == 6
 
 
 class TestScanScript:
