@@ -109,7 +109,11 @@ class BranchTriple:
 def sewing_exponent(lam: Weight, mu: Weight, Lambda: str, r: int, s: int) -> int:
     """m = Delta_lam + Delta_mu - Delta_Lambda; a branching pair must give a
     nonnegative integer."""
-    return _sewing(lam, mu, Lambda, EmbeddingParams(r, s))
+    p = EmbeddingParams(r, s)
+    for w, n in ((lam, r), (mu, s)):
+        if w.rank != n:
+            raise ValueError(f"{w} has rank {w.rank}, expected rank {n}")
+    return _sewing(lam, mu, Lambda, p)
 
 
 def _sewing(lam, mu, Lambda, p: EmbeddingParams, big=None) -> int:
@@ -261,7 +265,8 @@ def _w(text: str) -> Weight:
 
 # Bundled rank-level comparison configurations.  Each has a one-dimensional
 # level-one block, so the rank-level map is defined up to scalar, and the
-# source/target dimensions differ: (4,5), (3,4) and (14,20).  Configuration 1
+# source/target dimensions differ (their golden dimensions are the
+# "rank-level failure example" rows of `goldens.GOLDENS`).  Configuration 1
 # passes the strict bullet-admissibility check; 2 and 3 are evaluated with
 # strict=False, so per-point checks land in the report certificates instead
 # of raising.

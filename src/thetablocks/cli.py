@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 from . import __version__
 from .common import DEFAULT_DPS, UnreducibleError
@@ -187,6 +186,8 @@ def cmd_sewing(args) -> Report:
 def cmd_oxbury(args) -> Report:
     from .verlinde import n0_oxbury, oxbury_check
 
+    if {args.rank, args.level} != {None} and {args.r, args.s} != {None}:
+        raise _usage_error("oxbury takes --rank/--level or --r/--s, not both")
     if args.rank is not None and args.level is not None:
         n0 = n0_oxbury(args.genus, args.rank, args.level, args.precision)
         return Report(
@@ -278,95 +279,22 @@ def cmd_theta_counts(args) -> Report:
     )
 
 
-def _golden_checks(tab, cache_dir, dps):
-    """Yield (name, ok, detail) for the bundled golden-number suite; `tab` is
-    the so(5) level-3 table of the dual-oracle check."""
-    from . import branching, verlinde
-    from .fock import NS, FockState, FockVector, apply_LR, clifford_apply, vacuum
-    from .fock.ranklevel import ranklevel_matrix
-    from .fusion import FusionTable, LevelOneTable
-    from .rootsys import Weight
-    from .weights import YoungDiagram
-
-    t2 = FusionTable(2, 1)
-    for g in range(2, 6):
-        got = t2.dim_genus_g(g, [Weight.fundamental(2, 1)])
-        want = 2 ** (g - 1) * (2 ** g - 1)
-        yield f"N_{g}(omega_1, level 1) = {want}", got == want, f"got {got}"
-    for r in (2, 5):
-        ring = LevelOneTable(r)
-        ok = True
-        for g in range(0, 4):
-            for n in range(1, 4):
-                got = ring.dim_genus_g(g, [Weight.fundamental(r, r)] * (2 * n))
-                ok = ok and got == 2 ** (2 * g + n - 1)
-        yield f"N_g(2n spin weights, level 1) = 2^(2g+n-1), r={r}", ok, ""
-    for g in (2, 3):
-        tot = verlinde.twisted_total(g, 2, 1, dps)
-        yield f"twisted total level 1, g={g}: 2^{2*g}", tot == 2 ** (2 * g), f"got {tot}"
-    tc = verlinde.theta_counts(2)
-    yield "theta counts g=2 = (16, 10, 6)", tc == (16, 10, 6), f"got {tc}"
-    for (g, r, s) in ((2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3)):
-        rep = verlinde.oxbury_check(g, r, s, dps)
-        yield (
-            f"Oxbury-Wilson N_{g}^0(so({2*r+1}),{2*s+1}) = N_{g}^0(so({2*s+1}),{2*r+1})",
-            rep.equal,
-            f"{rep.lhs} vs {rep.rhs}",
-        )
-    wants = {1: (4, 5, 1), 2: (3, 4, 1), 3: (14, 20, 1)}
-    for n, want in wants.items():
-        rep = branching.ranklevel_example(n, cache_dir)
-        got = (rep.dim_source, rep.dim_target, rep.dim_level1)
-        yield f"rank-level failure example {n}: dims {want}", got == want, f"got {got}"
-    # both engines are symmetric in the three weights (the S3 symmetry of
-    # FusionTable.triple is tested), so the unordered triples cover the set
-    ok = True
-    for a, b, c in combinations_with_replacement(tab.weights(), 3):
-        if tab.triple(a, b, c) != verlinde.dim_trig(0, [a, b, c], 2, 3, dps):
-            ok = False
-    yield "dual-oracle agreement r=2, level 3 (full triple set)", ok, ""
-    ok = True
-    for lab in ("0", "1", "d"):
-        for t in branching.branch_pairs(lab, 2, 2):
-            ok = ok and t.exponent >= 0
-    yield "sewing exponents at (r,s)=(2,2) all nonnegative integers", ok, ""
-    m = ranklevel_matrix(YoungDiagram.parse("[1]"), 2, 2)
-    yield "strange duality det A = 0 at (2,2), Y=[1]", not m.determinant, str(
-        m.determinant
-    )
-    v1 = clifford_apply((-1, 1, 1), FockVector.unit(vacuum(NS)))
-    want_v = clifford_apply((-1, 1, 0), FockVector.unit(vacuum(NS)))
-    yield "Clifford: R(B^0_1) phi^{1,1}(-1/2) = phi^{1,0}(-1/2)", apply_LR(
-        0, 1, 0, "R", v1, 2, 2
-    ) == want_v, ""
-    cur = FockVector.unit(vacuum(NS))
-    for j in (3, 2, 1):
-        cur = clifford_apply((-1, j, 1), cur)
-    for _ in range(3):
-        cur = apply_LR(0, 1, 0, "R", cur, 3, 2)
-    lead_state = FockState(NS, ((-1, 1, 0), (-1, 2, 0), (-1, 3, 0)))
-    lead = cur.coefficient(lead_state)
-    others = {str(c) for st, c in cur.terms.items() if st != lead_state}
-    yield "Clifford cubed R-action: leading 6, six cross terms -3", lead == 6 and others == {
-        "-3"
-    }, f"lead {lead}, others {others}"
-
-
 def cmd_paper_check(args):
-    from .fusion import FusionTable
+    from .goldens import GOLDENS, context
 
-    tab = FusionTable(2, 3, args.cache_dir)
+    ctx = context(args.cache_dir, args.precision)
     failures = 0
-    for name, ok, detail in _golden_checks(tab, args.cache_dir, args.precision):
-        status = "PASS" if ok else "FAIL"
-        extra = f"   [{detail}]" if detail and not ok else ""
-        print(f"{status}  {name}{extra}")
-        if not ok:
+    for row in GOLDENS:
+        got = row.compute(ctx)
+        if got == row.want:
+            print(f"PASS  {row.name}")
+        else:
+            print(f"FAIL  {row.name}   [got {got}]")
             failures += 1
     if failures:
         print(f"{failures} golden check(s) FAILED")
         raise SystemExit(EXIT_DISAGREE)
-    tab.save()
+    ctx.table.save()
     print("all golden checks passed")
     return None
 

@@ -95,7 +95,11 @@ def dim_trig(
         check_level(w, ell)
     sm = s_matrix(r, ell, dps)
     index = {w: i for i, w in enumerate(sm.weights)}
-    rows = [sm.entries[index[w]] for w in lams]
+    try:
+        rows = [sm.entries[index[w]] for w in lams]
+    except KeyError as exc:  # check_level passed, so only the rank is wrong
+        w = exc.args[0]
+        raise ValueError(f"{w} has rank {w.rank}, expected rank {r}") from None
     vacuum = sm.entries[0]
     power = 2 - 2 * g - len(lams)
     with mpmath.workdps(dps):

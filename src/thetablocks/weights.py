@@ -80,17 +80,10 @@ def enumerate_level(r: int, ell: int) -> tuple[Weight, ...]:
 
 
 def sigma(lam: Weight, ell: int) -> Weight:
-    """Affine diagram automorphism exchanging the nodes omega_0 and omega_1.
-
-    In omega-coordinates a_1 goes to ell - (a_1 + 2(a_2+...+a_{r-1}) + a_r),
-    everything else fixed.
-    """
+    """Affine diagram automorphism exchanging the nodes omega_0 and omega_1:
+    lam_1 goes to ell - lam_1 in L-coordinates, everything else fixed."""
     check_level(lam, ell)
-    a = list(lam.omega_coords())
-    a[0] = ell - int(lam.level)
-    image = Weight.from_omega(tuple(a))
-    assert image.level <= ell, "sigma left the level-ell alcove"
-    return image
+    return Weight((ell - lam.coords[0],) + lam.coords[1:])
 
 
 # -- Young diagrams -----------------------------------------------------------

@@ -3,7 +3,9 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Tolerances are pinned here: trig rounding residuals at 1e-6 (the engine
 default raises beyond it), everything else exact integer or Q[sqrt(2)]
-arithmetic.  Stated runtime budgets are asserted.
+arithmetic.  Stated runtime budgets are asserted.  A criterion that is also
+a row of the golden-number table (`thetablocks.goldens`) runs that row and
+reads its wanted value from there, inside the criterion's budget.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import time
 from fractions import Fraction as F
 from math import factorial
 
+from thetablocks import goldens
 from thetablocks.branching import branch_pairs
 from thetablocks.fock import (
     INV_SQRT2,
@@ -43,7 +46,7 @@ from thetablocks.rootsys import (
     weight_multiplicities,
     weyl_dim,
 )
-from thetablocks.verlinde import dim_trig, oxbury_check, theta_counts
+from thetablocks.verlinde import dim_trig, theta_counts
 from thetablocks.weights import (
     YoungDiagram,
     enumerate_level,
@@ -61,17 +64,23 @@ def announce(number, title, started):
     print(f"ACCEPTANCE {number:>2} PASS  {title}  ({time.monotonic()-started:.2f} s)")
 
 
+def run_goldens(prefix):
+    """Run every golden row whose name starts with `prefix`."""
+    ctx = goldens.context()
+    ran = goldens.rows(prefix)
+    assert ran, prefix
+    for row in ran:
+        assert row.compute(ctx) == row.want, row.name
+
+
 def test_acceptance_01_level_one_closed_forms():
     started = time.monotonic()
+    run_goldens("N_")  # omega_1 on the Kac-Walton table, spin weights at r = 2, 5
     for r in (2, 5):
         ring = LevelOneTable(r)
         w1 = Weight.fundamental(r, 1)
-        wr = Weight.fundamental(r, r)
         for g in range(2, 6):
-            assert ring.dim_genus_g(g, [w1]) == 2 ** (g - 1) * (2 ** g - 1)
-        for g in range(0, 4):
-            for n in range(1, 4):
-                assert ring.dim_genus_g(g, [wr] * (2 * n)) == 2 ** (2 * g + n - 1)
+            assert ring.dim_genus_g(g, [w1]) == goldens.want(f"N_{g}(omega_1, level 1)")
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"budget exceeded: {elapsed:.2f} s"
     announce(1, "level-one closed forms, r = 2 and r = 5, exact, < 1 s", started)
@@ -79,20 +88,17 @@ def test_acceptance_01_level_one_closed_forms():
 
 def test_acceptance_02_twisted_total_level_one():
     started = time.monotonic()
+    run_goldens("twisted total level 1")  # r = 2, at the default tolerance TOL
     for g in (2, 3):
-        for r in (2, 3):
-            vac = dim_trig(g, [], r, 1, tol=TOL)
-            top = dim_trig(g, [Weight.fundamental(r, 1)], r, 1, tol=TOL)
-            assert vac + top == 2 ** (2 * g) == theta_counts(g)[0]
+        vac = dim_trig(g, [], 3, 1, tol=TOL)
+        top = dim_trig(g, [Weight.fundamental(3, 1)], 3, 1, tol=TOL)
+        assert vac + top == 2 ** (2 * g) == theta_counts(g)[0]
     announce(2, "twisted total at level one equals 2^(2g) = |Th(C)|", started)
 
 
 def test_acceptance_03_oxbury_wilson():
     started = time.monotonic()
-    for r, s in ((2, 2), (2, 3)):
-        for g in (2, 3):
-            rep = oxbury_check(g, r, s, tol=TOL)
-            assert rep.equal, (g, r, s, rep.lhs, rep.rhs)
+    run_goldens("Oxbury-Wilson")  # (r, s) in {(2, 2), (2, 3)}, g in {2, 3}
     elapsed = time.monotonic() - started
     assert elapsed < 120, f"budget exceeded: {elapsed:.1f} s"
     announce(3, "Oxbury-Wilson symmetry, (r,s) in {(2,2),(2,3)}, g in {2,3}", started)
@@ -117,7 +123,7 @@ def test_acceptance_04_failure_examples_cold_cache(tmp_path):
     for line in proc.stdout.splitlines():
         n, a, b, c = (int(x) for x in line.split())
         got[n] = (a, b, c)
-    assert got == {1: (4, 5, 1), 2: (3, 4, 1), 3: (14, 20, 1)}
+    assert got == {n: goldens.want(f"rank-level failure example {n}:") for n in (1, 2, 3)}
     elapsed = time.monotonic() - started
     assert elapsed < 600, f"budget exceeded: {elapsed:.1f} s"
     announce(4, "failure examples (4,5), (3,4), (14,20), level-one blocks 1, cold cache", started)
@@ -168,8 +174,8 @@ def test_acceptance_07_clifford_appendix_goldens():
             v = clifford_apply((-1, j, p), v)
         return v
 
-    # single R-action on the one-column vector
-    assert apply_LR(0, 1, 0, "R", ns_monomial((1, 1)), 2, 2) == ns_monomial((1, 0))
+    # single and cubed R-actions
+    run_goldens("Clifford")
     # Prop k=2 monomial/coefficient multiset (one recorded global sign: +)
     got = apply_LR(0, 1, 0, "R", apply_LR(0, 1, 0, "R", ns_monomial((1, 1), (2, 1)), 2, 2), 2, 2)
     assert got == (
@@ -177,13 +183,6 @@ def test_acceptance_07_clifford_appendix_goldens():
         - ns_monomial((1, -1), (2, 1))
         - ns_monomial((1, 1), (2, -1))
     )
-    # cubed R-action: 6 and six cross terms at -3
-    cur = ns_monomial((1, 1), (2, 1), (3, 1))
-    for _ in range(3):
-        cur = apply_LR(0, 1, 0, "R", cur, 3, 2)
-    lead = FockState(NS, ((-1, 1, 0), (-1, 2, 0), (-1, 3, 0)))
-    assert cur.coefficient(lead) == 6
-    assert sorted(str(c) for st, c in cur.terms.items() if st != lead) == ["-3"] * 6
     # k-fold R-action: k! leading coefficient, k <= 5
     for k in range(1, 6):
         v = ns_monomial(*[(j, 1) for j in range(1, k + 1)])
@@ -257,8 +256,8 @@ def test_acceptance_08_highest_weight_suite():
 
 def test_acceptance_09_strange_duality_failure():
     started = time.monotonic()
+    run_goldens("strange duality det A = 0")  # exactly zero in Q[sqrt(2)]
     m = ranklevel_matrix(YoungDiagram.parse("[1]"), 2, 2)
-    assert m.determinant == QSqrt2()  # exactly zero in Q[sqrt(2)]
     assert all(e for row in m.entries for e in row)
     a = FockVector.unit(FockState(NS, ((-1, 1, 0),)))
     for rows in ("[1]", "[2]"):
@@ -272,12 +271,8 @@ def test_acceptance_09_strange_duality_failure():
 
 def test_acceptance_10_sewing_exponents():
     started = time.monotonic()
-    count = 0
-    for lab in ("0", "1", "d"):
-        for tri in branch_pairs(lab, 2, 2):
-            assert isinstance(tri.exponent, int) and tri.exponent >= 0
-            count += 1
-    assert count == 8 + 10 + 12
+    run_goldens("sewing exponents")
+    assert [len(branch_pairs(lab, 2, 2)) for lab in ("0", "1", "d")] == [8, 10, 12]
     announce(10, "sewing exponents at (2,2): all branching pairs give m in Z>=0", started)
 
 

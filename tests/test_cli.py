@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import pytest
 import thetablocks
 from thetablocks.cli import main
 from thetablocks.fusion import FusionTable
+from thetablocks.goldens import GOLDENS, want
 from thetablocks.rootsys import Weight
 
 
@@ -35,7 +38,7 @@ class TestSubcommands:
             "--weights", "1,0",
         )
         assert rc == 0
-        assert blob["outputs"]["dim"] == 6
+        assert blob["outputs"]["dim"] == want("N_2(omega_1")
         assert blob["command"] == "dim"
         assert blob["version"]
 
@@ -49,22 +52,25 @@ class TestSubcommands:
         assert blob["engine"] == "fusion+trig"
 
     def test_ranklevel_examples(self, capsys):
-        wants = {1: (4, 5, 1), 2: (3, 4, 1), 3: (14, 20, 1)}
-        for n, (a, b, c) in wants.items():
+        for n in (1, 2, 3):
             rc, blob = run_json(capsys, "ranklevel", "--example", str(n))
             assert rc == 0
             o = blob["outputs"]
-            assert (o["dim_source"], o["dim_target"], o["dim_level1"]) == (a, b, c)
+            got = (o["dim_source"], o["dim_target"], o["dim_level1"])
+            assert got == want(f"rank-level failure example {n}:")
 
     def test_theta_counts(self, capsys):
         rc, blob = run_json(capsys, "theta-counts", "--genus", "2")
         assert rc == 0
-        assert blob["outputs"] == {"total": 16, "even": 10, "odd": 6}
+        o = blob["outputs"]
+        assert (o["total"], o["even"], o["odd"]) == want("theta counts g=2")
 
     def test_oxbury_check(self, capsys):
         rc, blob = run_json(capsys, "oxbury", "--genus", "2", "--r", "2", "--s", "2")
         assert rc == 0
-        assert blob["outputs"]["equal"] is True
+        o = blob["outputs"]
+        assert o["equal"] is True
+        assert {o["lhs"], o["rhs"]} == want("Oxbury-Wilson N_2^0(so(5),5)")
 
     def test_branch_and_sewing(self, capsys):
         rc, blob = run_json(capsys, "branch", "--r", "2", "--s", "2", "--Lambda", "d")
@@ -137,6 +143,39 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "has rank 2, expected rank 3" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["dim", "--genus", "1", "--rank", "2", "--level", "3", "--weights", "1,0,0",
+         "--method", "trig"],
+        ["fusion", "--rank", "2", "--level", "3", "--weights", "1,0;1,0;1,0,0",
+         "--method", "trig"],
+        ["sewing", "--r", "2", "--s", "3", "--Lambda", "1", "--weights", "1,0,0;1,0"],
+    ], ids=["dim", "fusion", "sewing"])
+    def test_rank_mismatch_is_1_in_trig_and_sewing(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 1,0,0 has rank 3, expected rank 2\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--rank", "2", "--level", "3", "--r", "2", "--s", "3"],
+        ["--rank", "2", "--r", "2", "--s", "3"],
+        ["--level", "3", "--s", "3"],
+    ], ids=["all-four", "rank-r-s", "level-s"])
+    def test_oxbury_mixed_forms_is_1(self, capsys, monkeypatch, argv):
+        from thetablocks import verlinde
+
+        def no_sum(*args):
+            raise AssertionError("a sum ran although the arguments mix both forms")
+
+        monkeypatch.setattr(verlinde, "n0_oxbury", no_sum)
+        monkeypatch.setattr(verlinde, "oxbury_check", no_sum)
+        with pytest.raises(SystemExit) as exc:
+            main(["oxbury", "--genus", "2", *argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: oxbury takes --rank/--level or --r/--s, not both\n"
 
     def test_engine_disagreement_is_2(self, capsys, monkeypatch):
         import thetablocks.verlinde
@@ -227,6 +266,43 @@ class TestPinnedSurface:
         captured = capsys.readouterr()
         assert captured.out == pinned["stdout"]
         assert captured.err == pinned["stderr"]
+
+
+# sha256 of the 21 PASS lines and "all golden checks passed" that
+# paper-check printed before its checks became the golden table; it pins the
+# text without writing the golden numbers of thetablocks.goldens a second time
+PAPER_CHECK_SHA256 = "9e409dc9ec2b0414af06a728f0bf0234b542c3390606d865eb0bcd22575a576d"
+
+
+class TestPaperCheck:
+    def test_cold_and_warm_stdout_pinned(self, capsys, tmp_path):
+        argv = ["paper-check", "--cache-dir", str(tmp_path)]
+        want_out = "".join(f"PASS  {row.name}\n" for row in GOLDENS)
+        want_out += "all golden checks passed\n"
+        saved = []
+        for _cold_then_warm in range(2):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == want_out
+            assert hashlib.sha256(out.encode()).hexdigest() == PAPER_CHECK_SHA256
+            saved.append((tmp_path / "B2_level3.fusion.txt").read_bytes())
+        assert saved[0] == saved[1]
+
+    def test_a_failing_row_exits_2_and_saves_no_table(self, capsys, monkeypatch, tmp_path):
+        from thetablocks import goldens
+
+        first, second = GOLDENS[:2]
+        failing = dataclasses.replace(second, want=second.want + 1)
+        monkeypatch.setattr(goldens, "GOLDENS", (first, failing))
+        with pytest.raises(SystemExit) as exc:
+            main(["paper-check", "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == (
+            f"PASS  {first.name}\n"
+            f"FAIL  {second.name}   [got {second.want}]\n"
+            "1 golden check(s) FAILED\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCacheDeterminism:
@@ -332,10 +408,19 @@ class TestStartUp:
     def test_import_and_parsing_load_no_engine(self):
         modules = _modules_after(
             "import thetablocks.cli\n"
+            "parser = thetablocks.cli.build_parser()\n"
             "argv = ['dim', '--genus', '2', '--rank', '2', '--level', '1']\n"
-            "assert thetablocks.cli.build_parser().parse_args(argv).precision == 50"
+            "assert parser.parse_args(argv).precision == 50\n"
+            "assert parser.parse_args(['paper-check']).cache_dir"
         )
         assert "thetablocks.cli" in modules
+        assert _loaded(modules, "thetablocks.goldens", *self.ENGINES) == set()
+
+    def test_the_golden_table_loads_no_engine(self):
+        modules = _modules_after(
+            "from thetablocks.goldens import GOLDENS\n"
+            "assert len(GOLDENS) == 21"
+        )
         assert _loaded(modules, *self.ENGINES) == set()
 
     def test_theta_counts_loads_only_the_oracle(self):

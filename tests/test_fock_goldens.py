@@ -33,9 +33,7 @@ def coeff_of(v, *index_pairs):
 
 
 class TestRAction:
-    def test_k1_single_action(self):
-        got = apply_LR(0, 1, 0, "R", ns_monomial((1, 1)), 2, 2)
-        assert got == ns_monomial((1, 0))
+    # the single action on phi^{1,1}(-1/2) is a golden row
 
     def test_k1_intermediate(self):
         # R(B^0_1) v_2 = phi^{1,0} phi^{2,1} + phi^{1,1} phi^{2,0}

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from thetablocks.fusion import FusionTable
+from thetablocks.goldens import want
 from thetablocks.rootsys import Weight
 from thetablocks.verlinde import (
     char_sign,
@@ -49,8 +50,8 @@ class TestSMatrix:
 
 class TestDimTrig:
     def test_level_one_genus_forms(self):
-        assert dim_trig(2, [Weight.fundamental(2, 1)], 2, 1) == 6
-        assert dim_trig(3, [Weight.fundamental(2, 1)], 2, 1) == 28
+        for g in (2, 3):
+            assert dim_trig(g, [Weight.fundamental(2, 1)], 2, 1) == want(f"N_{g}(omega_1")
 
     def test_torus_vacuum(self):
         assert dim_trig(1, [], 2, 2) == 6
@@ -76,9 +77,10 @@ class TestOxbury:
         assert char_sign(Weight.fundamental(4, 4)) == -1
 
     def test_level_one_totals(self):
+        # twisted_total(g, 2, 1) is a golden row
         for g in (2, 3):
+            assert twisted_total(g, 3, 1) == 2 ** (2 * g)
             for r in (2, 3):
-                assert twisted_total(g, r, 1) == 2 ** (2 * g)
                 assert 2 * n0_oxbury(g, r, 1) == 2 ** (2 * g)
 
     def test_n0_value(self):
@@ -98,6 +100,7 @@ class TestOxbury:
     def test_symmetry(self, g, r, s):
         rep = oxbury_check(g, r, s)
         assert rep.equal, (rep.lhs, rep.rhs)
+        assert {rep.lhs} == want(f"Oxbury-Wilson N_{g}^0(so({2 * r + 1}),{2 * s + 1})")
 
     def test_vacuum_block_matches_fusion(self):
         # the two independent engines agree on the twisted total at (2,2):
@@ -111,7 +114,7 @@ class TestOxbury:
 
 class TestThetaCounts:
     def test_values(self):
-        assert theta_counts(2) == (16, 10, 6)
+        # g = 2 is a golden row
         assert theta_counts(0) == (1, 1, 0)
         assert theta_counts(3) == (64, 36, 28)
 

@@ -57,7 +57,23 @@ class TestEnumerateLevel:
         )
 
 
+def sigma_omega(lam, ell):
+    """Reference sigma in omega-coordinates: a_1 goes to
+    ell - (a_1 + 2(a_2+...+a_{r-1}) + a_r), everything else fixed."""
+    a = list(lam.omega_coords())
+    a[0] = ell - int(lam.level)
+    return Weight.from_omega(tuple(a))
+
+
 class TestSigma:
+    def test_matches_the_omega_coordinate_reference(self):
+        for r in (2, 3, 4):
+            for ell in range(1, 10):
+                for w in enumerate_level(r, ell):
+                    img = sigma(w, ell)
+                    assert img == sigma_omega(w, ell), (w, ell)
+                    assert img.level <= ell
+
     def test_vacuum_to_top(self):
         for r, ell in ((2, 1), (3, 5), (4, 7)):
             img = sigma(Weight.zero(r), ell)
