@@ -22,7 +22,7 @@ from .algebra import bracket, invariant_form
 from .coeff import ONE, ZERO, QSqrt2
 from .forms import GroundStratumError, psi_pair, psitilde
 from .operators import BilinearOp, SlotExpression, apply_bilinear
-from .states import FockState, FockVector
+from .states import FockVector
 
 PSI = "Psi"
 PSITILDE = "PsiTilde"
@@ -96,39 +96,6 @@ def _final_value(slots: tuple, form: str) -> QSqrt2:
     raise ValueError(f"form must be {PSI} or {PSITILDE}")
 
 
-def kacmoody_slot(v: FockVector) -> list:
-    """Rewrite an NS vector of mode -1/2 monomials as a combination of
-    mode -1 words over ground bases: consecutive wedge pairs become
-    B^{x}_{-y}(-1) operators over the vacuum or a trailing single generator.
-
-    Valid when no monomial contains a pair of opposite indices (then the
-    operators create exactly their two factors); the rank-level monomials
-    R^k(B^0_1) v_k all satisfy this.
-    """
-    out = []
-    for state, coeff in v.terms.items():
-        gens = state.wedge
-        if any(tm != -1 for tm, _, _ in gens):
-            raise ValueError(f"not a mode -1/2 monomial: {state}")
-        idx = [(j, p) for _, j, p in gens]
-        if any((-j, -p) in idx for j, p in idx):
-            raise ValueError(f"opposite index pair in {state}: rewrite invalid")
-        word = []
-        k = 0
-        while k + 1 < len(gens):
-            (j1, p1), (j2, p2) = idx[k], idx[k + 1]
-            word.append(BilinearOp((j1, p1), (-j2, -p2), -1))
-            k += 2
-        if k < len(gens):
-            base = FockVector.unit(
-                FockState(state.sector, (gens[k],), state.dual)
-            )
-        else:
-            base = FockVector.unit(FockState(state.sector, (), state.dual))
-        out.append((coeff, SlotExpression(tuple(word), base)))
-    return out
-
-
 def _as_combination(slot) -> list:
     if isinstance(slot, SlotExpression):
         return [(ONE, slot)]
@@ -175,7 +142,9 @@ def evaluate_block(
             i = pending[0]
         x = slots[i].ops[0]
         stripped = slots[i].tail()
-        budgets = [s.value().energy2 // 2 for s in slots]
+        # only the two targets are read; the stripped slot's own value (one
+        # more bilinear over its tail's) is never needed
+        budgets = [None if j == i else slots[j].value().energy2 // 2 for j in range(3)]
         total = ZERO
         for j, kcoeffs in _transfers(i, budgets):
             if not slots[j].value():

@@ -52,22 +52,38 @@ def tokenize(text: str) -> list[str]:
     return [p for p in parts if p]
 
 
+def _check_index(token: str, j: int, p: int, r: int | None, s: int | None) -> None:
+    """With r and s given, indices live on the grid W_r (x) W_s: |j| <= r and
+    |p| <= s."""
+    if r is not None and s is not None and (abs(j) > r or abs(p) > s):
+        raise GrammarError(
+            f"index ({j},{p}) out of range in {token}: needs |j| <= {r}, |p| <= {s}"
+        )
+
+
 def parse_atom(token: str, r: int | None, s: int | None):
-    """Returns ("gen", Gen) | ("op", BilinearOp) | ("vec", FockVector)."""
+    """Returns ("gen", Gen) | ("op", BilinearOp) | ("vec", FockVector).
+
+    Generator and bilinear indices are checked against r and s when both
+    are given."""
     m = _GEN.match(token)
     if m:
         arrow, j, p, mode = m.groups()
         j, p = int(j), int(p)
+        _check_index(token, j, p, r, s)
         if arrow == "_":
             j, p = -j, -p
         return ("gen", (_mode2(mode), j, p))
     m = _BOP.match(token)
     if m:
-        i, p, k, q, mode = m.groups()
+        i, p, k, q = (int(x) for x in m.groups()[:4])
+        mode = m.group(5)
+        _check_index(token, i, p, r, s)
+        _check_index(token, k, q, r, s)
         tm = _mode2(mode)
         if tm % 2:
             raise GrammarError(f"bilinear mode must be an integer: {token}")
-        return ("op", BilinearOp((int(i), int(p)), (int(k), int(q)), tm // 2))
+        return ("op", BilinearOp((i, p), (k, q), tm // 2))
     m = _VEC.match(token)
     if m:
         kind, rows = m.groups()

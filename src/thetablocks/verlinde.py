@@ -210,8 +210,5 @@ def theta_counts(g: int) -> tuple[int, int, int]:
     2^(2g), 2^(g-1)(2^g + 1), 2^(g-1)(2^g - 1)."""
     if g < 0:
         raise ValueError("genus must be >= 0")
-    total = 2 ** (2 * g)
-    even = Fraction(2 ** g * (2 ** g + 1), 2)
-    odd = Fraction(2 ** g * (2 ** g - 1), 2)
-    assert even.denominator == 1 and odd.denominator == 1
-    return total, int(even), int(odd)
+    total = 4 ** g
+    return total, (total + 2 ** g) // 2, (total - 2 ** g) // 2

@@ -209,6 +209,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("expr", ["B{9,9;0,0}(-1)·v[2]", "phi^{9,9}(-1/2)·1"])
+    def test_clifford_index_outside_the_grid_is_1(self, capsys, expr):
+        rc = main(["clifford-eval", expr, "--r", "2", "--s", "2"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: index (9,9) out of range")
+
     @pytest.mark.parametrize("argv, name", [
         (["ranklevel-matrix", "--weights", "[]", "--r", "2", "--s", "1"], "s"),
         (["branch", "--r", "2", "--s", "1", "--Lambda", "0"], "s"),

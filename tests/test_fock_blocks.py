@@ -12,6 +12,7 @@ import pytest
 
 from thetablocks.fock import (
     NS,
+    BilinearOp,
     PSI,
     PSITILDE,
     FockState,
@@ -30,7 +31,6 @@ from thetablocks.fock import (
     vacuum,
 )
 from thetablocks.fock import operators
-from thetablocks.fock.blocks import kacmoody_slot
 from thetablocks.fock.ranklevel import (
     _complement_matrix,
     _matrix_slots,
@@ -58,6 +58,39 @@ def lowered(v, *pairs):
     for j, p in reversed(pairs):
         v = clifford_apply((0, -j, -p), v)
     return v
+
+
+def kacmoody_slot(v: FockVector) -> list:
+    """Rewrite an NS vector of mode -1/2 monomials as a combination of
+    mode -1 words over ground bases: consecutive wedge pairs become
+    B^{x}_{-y}(-1) operators over the vacuum or a trailing single generator.
+
+    Valid when no monomial contains a pair of opposite indices (then the
+    operators create exactly their two factors); the rank-level monomials
+    R^k(B^0_1) v_k all satisfy this.
+    """
+    out = []
+    for state, coeff in v.terms.items():
+        gens = state.wedge
+        if any(tm != -1 for tm, _, _ in gens):
+            raise ValueError(f"not a mode -1/2 monomial: {state}")
+        idx = [(j, p) for _, j, p in gens]
+        if any((-j, -p) in idx for j, p in idx):
+            raise ValueError(f"opposite index pair in {state}: rewrite invalid")
+        word = []
+        k = 0
+        while k + 1 < len(gens):
+            (j1, p1), (j2, p2) = idx[k], idx[k + 1]
+            word.append(BilinearOp((j1, p1), (-j2, -p2), -1))
+            k += 2
+        if k < len(gens):
+            base = FockVector.unit(
+                FockState(state.sector, (gens[k],), state.dual)
+            )
+        else:
+            base = FockVector.unit(FockState(state.sector, (), state.dual))
+        out.append((coeff, SlotExpression(tuple(word), base)))
+    return out
 
 
 class TestForms:
@@ -352,21 +385,33 @@ class TestComplementMemo:
 
 class TestWorkGuard:
     def test_bilinear_calls_of_one_matrix(self, monkeypatch):
-        """Each slot value is computed once per expression: the 2x2 matrix
-        of (r, s, Y) = (3, 3, [2,1]) applies 44 bilinears (72 when every
-        reduction step re-applied each slot's whole word)."""
+        """Each slot value is computed once per expression, and a reduction
+        step evaluates only its two target slots: the 2x2 matrix of
+        (r, s, Y) = (3, 3, [2,1]) applies 38 bilinears (44 when each step
+        also evaluated the slot it strips, 72 when every step re-applied
+        each slot's whole word)."""
         calls = _count_bilinears(monkeypatch)
         m = ranklevel_matrix(YoungDiagram.parse("[2,1]"), 3, 3)
         assert ",".join(str(e) for row in m.entries for e in row) == (
             PINNED_SCAN["r3s3:[2,1]"][0]
         )
-        assert len(calls) == 44
+        assert len(calls) == 38
+
+    def test_bilinear_calls_of_the_small_scan(self, monkeypatch):
+        """With a cold matrix memo, the 28 diagrams with r <= 3, s <= 4 (14
+        distinct complements) apply 512 bilinears (592 when each reduction
+        step also evaluated the slot it strips)."""
+        calls = _count_bilinears(monkeypatch)
+        assert _scan(3, 4) == PINNED_SCAN
+        assert _complement_matrix.cache_info().currsize == 14
+        assert len(calls) == 512
 
     def test_vector_constructions_of_one_matrix(self, monkeypatch):
         """A bilinear builds one FockVector per call, however many mode splits
         act, a wedge vector builds one, and the two Psi entries share one
-        vacuum slot: the same matrix builds 56 vectors (57 with a vacuum slot
-        per entry, 79 when each wedge generator built one through
+        vacuum slot: the same matrix builds 50 vectors (56 when each reduction
+        step also evaluated the slot it strips, 57 with a vacuum slot per
+        entry besides, 79 when each wedge generator built one through
         clifford_apply, 500 when each split built a unit vector and each
         partial sum copied the output)."""
         original = FockVector.__init__
@@ -381,7 +426,7 @@ class TestWorkGuard:
         assert ",".join(str(e) for row in m.entries for e in row) == (
             PINNED_SCAN["r3s3:[2,1]"][0]
         )
-        assert len(built) == 56
+        assert len(built) == 50
 
     def test_checked_state_constructions_of_one_matrix(self, monkeypatch):
         """Clifford images are derived from their source states unchecked and

@@ -47,6 +47,27 @@ class TestParsing:
         with pytest.raises(GrammarError):
             parse_expression("B{0,1;1,1}(-1)")  # no base
 
+    @pytest.mark.parametrize("expr", [
+        "phi^{9,9}(-1/2)·1",
+        "phi^{3,0}(-1/2)·1",
+        "phi_{0,-3}(0)·v[1]",
+        "B{9,9;0,0}(-1)·v[2]",
+        "B{0,0;0,3}(0)·v[1]",
+        "B{1,1;-3,1}(-1)·v[1]",
+    ])
+    def test_index_outside_the_grid_is_rejected(self, expr):
+        with pytest.raises(GrammarError, match="out of range"):
+            parse_expression(expr, 2, 2)
+
+    def test_indices_on_the_grid_edge_parse(self):
+        e = parse_expression("B{2,-2;-2,2}(-1)·phi_{2,2}(-1/2)·1", 2, 2)
+        assert e.ops == (BilinearOp((2, -2), (-2, 2), -1),)
+        assert e.base == FockVector.unit(FockState(NS, ((-1, -2, -2),)))
+
+    def test_without_r_and_s_indices_are_not_checked(self):
+        e = parse_expression("phi^{9,9}(-1/2)")
+        assert e.base == FockVector.unit(FockState(NS, ((-1, 9, 9),)))
+
 
 class TestEvaluate:
     def test_single_bilinear_via_grammar(self):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -18,10 +19,16 @@ from thetablocks.verlinde import (
 from thetablocks.weights import enumerate_level
 
 
+# the grid the trig S-matrix must keep symmetric and unitary to 1e-40 at the
+# default 50 digits (the worst deviation reads 1.6e-50)
+S_GRID = [(2, ell) for ell in range(1, 6)] + [(3, ell) for ell in range(1, 4)]
+
+
 class TestSMatrix:
-    @pytest.mark.parametrize("r,ell", [(2, 2), (2, 4), (3, 2)])
+    @pytest.mark.parametrize("r,ell", S_GRID)
     def test_symmetric_unitary_positive(self, r, ell):
         sm = s_matrix(r, ell)
+        assert sm.dps == 50
         n = len(sm.weights)
         with mpmath.workdps(sm.dps):
             tol = mpmath.mpf(10) ** (-sm.dps + 10)
@@ -61,6 +68,24 @@ class TestDimTrig:
         lam = Weight.parse("5/2,1/2")
         w1 = Weight.fundamental(2, 1)
         assert dim_trig(0, [lam, lam, w1, w1], 2, 7) == 4
+
+    def test_genus_three_at_default_precision(self):
+        assert dim_trig(3, [], 2, 3) == 16864
+
+    # ROADMAP item 2 pins: each returns a wrong integer today, with no
+    # PrecisionError; the fix turns them into plain tests
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="item 2(c): dps=1 rounds to 16384")
+    def test_genus_three_at_one_digit(self):
+        assert dim_trig(3, [], 2, 3, dps=1) == 16864
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="item 2(b): the residual check misses errors above 10^dps")
+    def test_so7_level5_genus14_vacuum(self):
+        # the exact value of perfbench op c:B3L5:g14
+        assert dim_trig(14, [], 3, 5) == (
+            8822744214291785516496941747113937474450549755813888
+        )
 
     def test_negative_genus_raises_like_the_exact_engine(self):
         lams = [Weight.parse("1/2,1/2")]
@@ -117,6 +142,13 @@ class TestThetaCounts:
         # g = 2 is a golden row
         assert theta_counts(0) == (1, 1, 0)
         assert theta_counts(3) == (64, 36, 28)
+
+    def test_closed_forms(self):
+        for g in range(13):
+            counts = theta_counts(g)
+            half = Fraction(2) ** (g - 1)
+            assert counts == (2 ** (2 * g), half * (2 ** g + 1), half * (2 ** g - 1))
+            assert all(type(n) is int for n in counts)
 
     def test_odd_matches_level_one_dimension(self):
         t = FusionTable(2, 1)
