@@ -1,6 +1,6 @@
 """Branching data of the conformal embedding so(2r+1) + so(2s+1) -> so(2d+1),
-d = 2rs + r + s: conformality check, trace anomalies, the branching pair
-lists B(Lambda), sewing exponents, and rank-level comparison reports."""
+d = 2rs + r + s: trace anomalies, the branching pair lists B(Lambda),
+sewing exponents, and rank-level comparison reports."""
 
 from __future__ import annotations
 
@@ -44,29 +44,6 @@ class EmbeddingParams:
         return (2 * self.s + 1, 2 * self.r + 1)
 
 
-def so_dim(n: int) -> int:
-    return n * (n - 1) // 2
-
-def so_dual_coxeter(n: int) -> int:
-    return n - 2
-
-
-def is_conformal(r: int, s: int, index: tuple[int, int] | None = None) -> bool:
-    """Conformal-embedding criterion in exact rational arithmetic:
-
-    sum_i  d_i * dim(g_i) / (h_i + d_i)  =  dim(g) / (h + 1),
-
-    with Dynkin multi-index d = (2s+1, 2r+1) for the tensor embedding."""
-    p = EmbeddingParams(r, s)
-    d1, d2 = index if index is not None else p.levels
-    n1, n2, n = 2 * r + 1, 2 * s + 1, 2 * p.d + 1
-    lhs = Fraction(d1 * so_dim(n1), so_dual_coxeter(n1) + d1) + Fraction(
-        d2 * so_dim(n2), so_dual_coxeter(n2) + d2
-    )
-    rhs = Fraction(so_dim(n), so_dual_coxeter(n) + 1)
-    return lhs == rhs
-
-
 def _anomaly(lam: Weight, ell: int) -> tuple[int, int]:
     """The trace anomaly as (numerator, 8 (h_vee + ell)): on doubled ints
     L = 2 lam and R = 2 rho, (lam, lam + 2 rho) = sum L_i (L_i + 2 R_i) / 4."""
@@ -77,11 +54,6 @@ def _anomaly(lam: Weight, ell: int) -> tuple[int, int]:
         x = 2 * c.numerator // c.denominator
         num += x * (x + 2 * p)
     return num, 8 * (2 * r - 1 + ell)
-
-
-def trace_anomaly(lam: Weight, ell: int) -> Fraction:
-    """(lam, lam + 2 rho) / (2 (h_vee + ell)) for so(2r+1), h_vee = 2r-1."""
-    return Fraction(*_anomaly(lam, ell))
 
 
 def lambda_weight(label: str, d: int) -> Weight:
@@ -190,11 +162,6 @@ def _rule_table(Lambda: str, r: int, s: int) -> dict:
     for tri in branch_pairs(Lambda, r, s):
         rules.setdefault((tri.lam, tri.mu), tri.rule)
     return rules
-
-
-def find_branch_rule(lam: Weight, mu: Weight, Lambda: str, r: int, s: int) -> str | None:
-    """The bullet that admits (lam, mu) in B(Lambda), or None."""
-    return _rule_table(Lambda, r, s).get((lam, mu))
 
 
 @dataclass

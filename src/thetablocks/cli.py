@@ -376,6 +376,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
+        # rendering can fail too: str() of an int past Python's digit limit
+        text = None if report is None else report.rendered(args.json)
     except EngineDisagreement as exc:
         print(f"engine disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
@@ -385,8 +387,8 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:  # OSError: cache I/O
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if report is not None:
-        print(report.rendered(args.json))
+    if text is not None:
+        print(text)
     return 0
 
 

@@ -3,7 +3,7 @@ Fock modules of so(2d+1), in operator ("Kac-Moody") or wedge form."""
 
 from __future__ import annotations
 
-from .operators import BilinearOp, apply_word
+from .operators import BilinearOp, SlotExpression, apply_word
 from .states import NS, R, FockState, FockVector, _index_positive, vacuum
 from ..weights import YoungDiagram
 
@@ -122,12 +122,25 @@ def filled_first_row(y: YoungDiagram, s: int) -> YoungDiagram:
     return YoungDiagram(rows)
 
 
+def sigma_twist_slots(
+    y: YoungDiagram, r: int, s: int
+) -> tuple[SlotExpression, SlotExpression]:
+    """The sigma-twisted component (sigma(Y + omega_r), Y* + omega_s) as two
+    slots: the twist word over v_Y' and the opposite word B^{0,0}_{1,k}(-1)
+    over v^Y', where Y' is Y with its first row filled out to s columns."""
+    ybar = filled_first_row(y, s)
+    ops = tuple(sigma_twist_ops(y, r, s))
+    opposite = tuple(BilinearOp((0, 0), op.upper, -1) for op in ops)
+    return (
+        SlotExpression(ops, spin_hwv(ybar, r, s)),
+        SlotExpression(opposite, spin_hwv_opposite(ybar, r, s)),
+    )
+
+
 def sigma_twist_hwv(y: YoungDiagram, r: int, s: int) -> FockVector:
     """Vector of the component (sigma(Y + omega_r), Y* + omega_s)."""
-    ops = sigma_twist_ops(y, r, s)
-    return apply_word(ops, spin_hwv(filled_first_row(y, s), r, s))
+    return sigma_twist_slots(y, r, s)[0].value()
 
 
 def sigma_twist_hwv_opposite(y: YoungDiagram, r: int, s: int) -> FockVector:
-    ops = [BilinearOp((0, 0), op.upper, -1) for op in sigma_twist_ops(y, r, s)]
-    return apply_word(ops, spin_hwv_opposite(filled_first_row(y, s), r, s))
+    return sigma_twist_slots(y, r, s)[1].value()

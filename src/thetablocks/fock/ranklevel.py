@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .blocks import PSI, PSITILDE, evaluate_block
 from .coeff import QSqrt2
-from .hwv import filled_first_row, sigma_twist_ops, spin_hwv, spin_hwv_opposite
+from .hwv import sigma_twist_slots, spin_hwv, spin_hwv_opposite
 from .operators import BilinearOp, SlotExpression
 from .states import NS, FockState, FockVector, vacuum
 from ..rootsys import require_rank
@@ -42,15 +42,11 @@ def _phi10_base() -> FockVector:
 def _matrix_slots(y: YoungDiagram, r: int, s: int) -> tuple[SlotExpression, ...]:
     """The slots the matrix pairs: (vacuum, v_lam, v^lam, twisted v-bar_lam,
     v-bar^lam, tilde-v word)."""
-    ybar = filled_first_row(y, s)
-    twist = tuple(sigma_twist_ops(y, r, s))  # a single op: first row is s-1
-    twist_op = tuple(BilinearOp((0, 0), op.upper, -1) for op in twist)
     return (
         _ns_vacuum_slot(),
         SlotExpression((), spin_hwv(y, r, s)),
         SlotExpression((), spin_hwv_opposite(y, r, s)),
-        SlotExpression(twist, spin_hwv(ybar, r, s)),
-        SlotExpression(twist_op, spin_hwv_opposite(ybar, r, s)),
+        *sigma_twist_slots(y, r, s),  # one op each: the first row is s-1
         SlotExpression(_tilde_word(r), _phi10_base()),
     )
 

@@ -1,13 +1,12 @@
-"""Exact tensor and fusion multiplicities for so(2r+1), with genus-g
-dimensions via the factorization recursion.
+"""Exact fusion multiplicities for so(2r+1), with genus-g dimensions via the
+factorization recursion.
 
-Classical tensor products use Klimyk's formula over the full weight system of
-the smaller factor.  Level-ell fusion (Kac-Walton) folds lam + rho + v, for
-every weight v of the smaller factor, in one pass through the shifted affine
-Weyl group.  Only rows over a fundamental domain of the simple current sigma
-are folded; the others follow from product(sigma a, b) = sigma product(a, b).
-The engines work in doubled-int coordinates; `Weight` objects appear only
-where rows leave a `FusionTable` and in its text cache.
+Level-ell fusion (Kac-Walton) folds lam + rho + v, for every weight v of the
+smaller factor, in one pass through the shifted affine Weyl group.  Only
+rows over a fundamental domain of the simple current sigma are folded; the
+others follow from product(sigma a, b) = sigma product(a, b).  The engines
+work in doubled-int coordinates; `Weight` objects appear only where rows
+leave a `FusionTable` and in its text cache.
 
 `FusionRing` holds the genus engine, with genus-g dimensions from the
 recursion N_g(vec) = sum_mu N_{g-1}(vec, mu, mu), that `FusionTable`
@@ -51,34 +50,6 @@ def _weight_system(lam_d: tuple[int, ...]) -> tuple:
 @lru_cache(maxsize=None)
 def _dim_dbl(lam_d: tuple[int, ...]) -> int:
     return weyl_dim(Weight(undbl(lam_d)))
-
-
-@lru_cache(maxsize=None)
-def _tensor_product_dbl(lam_d: tuple[int, ...], mu_d: tuple[int, ...]) -> dict:
-    """Decomposition of V_lambda (x) V_mu as {doubled nu: multiplicity}."""
-    r = len(lam_d)
-    rho = _dbl_rho(r)
-    if _dim_dbl(mu_d) > _dim_dbl(lam_d):
-        lam_d, mu_d = mu_d, lam_d
-    shift = tuple(a + b for a, b in zip(lam_d, rho))
-    acc: dict = {}
-    for v, m in _weight_system(mu_d):
-        folded = fold_shifted(tuple(a + b for a, b in zip(shift, v)))
-        if folded is None:
-            continue
-        dom, sign = folded
-        key = tuple(a - b for a, b in zip(dom, rho))
-        acc[key] = acc.get(key, 0) + sign * m
-    out = {k: v for k, v in acc.items() if v}
-    assert all(v > 0 for v in out.values()), "Klimyk alternation went negative"
-    return out
-
-
-def tensor_multiplicity(lam: Weight, mu: Weight, nu: Weight) -> int:
-    """dim Hom(V_lam (x) V_mu (x) V_nu, C); B_r modules are self-dual, so this
-    is the multiplicity of V_nu in V_lam (x) V_mu."""
-    key = sorted([dbl(lam.coords), dbl(mu.coords), dbl(nu.coords)])
-    return _tensor_product_dbl(key[0], key[1]).get(key[2], 0)
 
 
 def _affine_fold(x: tuple[int, ...], k2: int):
@@ -150,15 +121,6 @@ def _check_weight(w: Weight, r: int, ell: int) -> None:
     if w.rank != r:
         raise ValueError(f"{w} has rank {w.rank}, expected rank {r}")
     check_level(w, ell)
-
-
-def fusion_multiplicity(lam: Weight, mu: Weight, nu: Weight, ell: int) -> int:
-    """Three-point genus-0 dimension N_{lam,mu,nu} at level ell."""
-    r = lam.rank
-    for w in (lam, mu, nu):
-        _check_weight(w, r, ell)
-    a, b, c = sorted([dbl(lam.coords), dbl(mu.coords), dbl(nu.coords)])
-    return _fusion_product_dbl(a, b, r, ell).get(c, 0)
 
 
 class FusionRing:

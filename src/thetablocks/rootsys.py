@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 HALF = Fraction(1, 2)
 
@@ -79,23 +78,6 @@ class Weight:
     def is_spin(self) -> bool:
         return not self.is_so
 
-    def omega_coords(self) -> tuple[int, ...]:
-        """Coefficients (a_1, ..., a_r) in the fundamental-weight basis."""
-        b = self.coords
-        r = self.rank
-        a = [int(b[i] - b[i + 1]) for i in range(r - 1)]
-        a.append(int(2 * b[r - 1]))
-        return tuple(a)
-
-    @classmethod
-    def from_omega(cls, a: tuple[int, ...]) -> "Weight":
-        r = len(a)
-        b = []
-        for i in range(r):
-            tail = sum(a[i:r - 1]) + Fraction(a[r - 1], 2)
-            b.append(Fraction(tail))
-        return cls(tuple(b))
-
     @classmethod
     def zero(cls, r: int) -> "Weight":
         return cls((Fraction(0),) * r)
@@ -154,13 +136,6 @@ def root_system(r: int) -> RootSystemB:
     return RootSystemB(r, tuple(roots), rho, 2 * r - 1, theta)
 
 
-def killing_form(x, y) -> Fraction:
-    """Normalized invariant form; the dot product in L-coordinates."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(x, y)), Fraction(0))
-
-
 # -- doubled-coordinate helpers (ints equal to 2*L-coordinate) ---------------
 
 def dbl(coords) -> tuple[int, ...]:
@@ -216,19 +191,6 @@ def fold_shifted(x: tuple[int, ...]):
         if a[i] == a[i + 1]:
             return None
     return tuple(a), sign
-
-
-def dominant_conjugate_shifted(v):
-    """Fold a rho-shifted vector to its dominant Weyl representative.
-
-    Returns (Weight, sign) with the determinant of the folding element, or
-    None when v lies on a wall.
-    """
-    folded = fold_shifted(dbl(v))
-    if folded is None:
-        return None
-    dom, sign = folded
-    return Weight(tuple(Fraction(c, 2) for c in dom)), sign
 
 
 def _dominant_weights_below(lam_d: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -305,24 +267,6 @@ def _weight_multiplicities_dbl(lam_d: tuple[int, ...]) -> dict:
         assert denom > 0 and (2 * num) % denom == 0, (lam_d, mu)
         mult[mu] = 2 * num // denom
     return mult
-
-
-def weight_multiplicities(lam: Weight) -> dict[Weight, int]:
-    """Multiplicity of each dominant weight of the irreducible module V_lambda."""
-    raw = _weight_multiplicities_dbl(dbl(lam.coords))
-    return {Weight(undbl(k)): v for k, v in raw.items()}
-
-
-def orbit_size(coords) -> int:
-    """Size of the Weyl orbit (signed permutations) of a dominant vector."""
-    d = dbl(coords)
-    r = len(d)
-    stab = 1
-    zeros = sum(1 for c in d if c == 0)
-    stab *= factorial(zeros) * 2 ** zeros
-    for v in set(c for c in d if c != 0):
-        stab *= factorial(sum(1 for c in d if c == v))
-    return 2 ** r * factorial(r) // stab
 
 
 def weyl_orbit_dbl(dom: tuple[int, ...]):

@@ -7,7 +7,7 @@ determinant of sines:
 
 with k = ell + 2r - 1 and c > 0 fixed by unitarity of the first row.  The
 Oxbury-Wilson sums over SO-weights and the theta-characteristic counts live
-here too; everything is checked to round to integers within a tolerance.
+here too; every sum must round to an integer within DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -69,24 +69,16 @@ def s_matrix(r: int, ell: int, dps: int = DEFAULT_DPS) -> SMatrix:
     return SMatrix(r, ell, ws, entries, dps)
 
 
-def _round_checked(value, tol: float) -> int:
+def _round_checked(value) -> int:
     n = int(mpmath.nint(value))
     residual = abs(value - n)
-    if residual > tol:
-        raise PrecisionError(
-            f"rounding residual {mpmath.nstr(residual, 8)} exceeds tolerance {tol}"
-        )
+    if residual > DEFAULT_TOL:
+        raise PrecisionError(f"rounding residual {mpmath.nstr(residual, 8)} "
+                             f"exceeds tolerance {DEFAULT_TOL}")
     return n
 
 
-def dim_trig(
-    g: int,
-    lams,
-    r: int,
-    ell: int,
-    dps: int = DEFAULT_DPS,
-    tol: float = DEFAULT_TOL,
-) -> int:
+def dim_trig(g: int, lams, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     """Verlinde dimension sum(mu) S_{0mu}^{2-2g-n} prod_i S_{lam_i,mu}."""
     if g < 0:
         raise ValueError("genus must be >= 0")
@@ -107,22 +99,10 @@ def dim_trig(
             (vacuum[j] ** power) * mpmath.fprod(row[j] for row in rows)
             for j in range(len(sm.weights))
         )
-        return _round_checked(total, tol)
+        return _round_checked(total)
 
 
-def char_sign(mu: Weight) -> int:
-    """+1 on SO-weights, -1 on spin weights (the level-ell character factor
-    of V_{ell omega_1} collapses to a sign)."""
-    return 1 if mu.is_so else -1
-
-
-def n0_oxbury(
-    g: int,
-    r: int,
-    ell: int,
-    dps: int = DEFAULT_DPS,
-    tol: float = DEFAULT_TOL,
-) -> int:
+def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     """The Oxbury-Wilson sum
 
     N_g^0 = (4 k^r)^(g-1) * sum over SO-weights mu of
@@ -159,23 +139,17 @@ def n0_oxbury(
             )
             total += prod
         total *= (4 * mpmath.mpf(k) ** r) ** (g - 1)
-        return _round_checked(total, tol)
+        return _round_checked(total)
 
 
-def twisted_total(
-    g: int,
-    r: int,
-    ell: int,
-    dps: int = DEFAULT_DPS,
-    tol: float = DEFAULT_TOL,
-) -> int:
+def twisted_total(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     """dim V_{omega_0} + dim V_{ell*omega_1} at genus g (one marked point
     carries ell*omega_1); equals 2 * n0_oxbury by the character-sign collapse."""
     top = Weight(
         (Fraction(ell),) + (Fraction(0),) * (r - 1)
     )  # ell * omega_1
-    vac = dim_trig(g, [], r, ell, dps, tol)
-    twisted = dim_trig(g, [top], r, ell, dps, tol)
+    vac = dim_trig(g, [], r, ell, dps)
+    twisted = dim_trig(g, [top], r, ell, dps)
     return vac + twisted
 
 
@@ -189,19 +163,13 @@ class OxburyReport:
     equal: bool
 
 
-def oxbury_check(
-    g: int,
-    r: int,
-    s: int,
-    dps: int = DEFAULT_DPS,
-    tol: float = DEFAULT_TOL,
-) -> OxburyReport:
+def oxbury_check(g: int, r: int, s: int, dps: int = DEFAULT_DPS) -> OxburyReport:
     """Check N_g^0(so(2r+1), 2s+1) = N_g^0(so(2s+1), 2r+1), both sides
     evaluated independently."""
     require_rank(r)
     require_rank(s, "s")  # s is the rank of the right side
-    lhs = n0_oxbury(g, r, 2 * s + 1, dps, tol)
-    rhs = n0_oxbury(g, s, 2 * r + 1, dps, tol)
+    lhs = n0_oxbury(g, r, 2 * s + 1, dps)
+    rhs = n0_oxbury(g, s, 2 * r + 1, dps)
     return OxburyReport(g, r, s, lhs, rhs, lhs == rhs)
 
 

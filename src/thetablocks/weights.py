@@ -1,39 +1,17 @@
 """Level-bounded weight enumeration, the affine diagram automorphism sigma,
-and Young-diagram calculus (transpose, box complement, star, sigma-orbits)."""
+and Young-diagram calculus (transpose, box complement, star)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .rootsys import HALF, Weight, require_rank
-
-SO = "SO"
-SPIN = "SPIN"
-
-SO_PAIR = "SO_PAIR"
-SPIN_PAIR = "SPIN_PAIR"
-SPIN_FIXED = "SPIN_FIXED"
 
 
 class LevelError(ValueError):
     """Weight does not satisfy the level bound (lambda, theta) <= ell."""
-
-
-@dataclass(frozen=True)
-class LevelWeight:
-    weight: Weight
-    level_bound: int
-
-    def __post_init__(self):
-        if self.weight.level > self.level_bound:
-            raise LevelError(f"{self.weight} is above level {self.level_bound}")
-
-    @property
-    def kind(self) -> str:
-        return SO if self.weight.is_so else SPIN
 
 
 def check_level(lam: Weight, ell: int) -> None:
@@ -150,7 +128,9 @@ def star(y: YoungDiagram, nrows: int, ncols: int) -> YoungDiagram:
 
 
 def young_diagrams(nrows: int, ncols: int) -> list[YoungDiagram]:
-    """All diagrams in an nrows x ncols box; |Y_{r,s}| = C(r+s, r)."""
+    """All diagrams in an nrows x ncols box, |Y_{r,s}| = C(r+s, r) of them,
+    depth-first with longer rows first.  Every row emitted is positive, so
+    each diagram appears once."""
     out = []
 
     def rec(prefix):
@@ -161,16 +141,7 @@ def young_diagrams(nrows: int, ncols: int) -> list[YoungDiagram]:
         for v in range(hi, 0, -1):
             rec(prefix + [v])
     rec([])
-    # rec() emits shapes with duplicated normal forms only via trailing zeros,
-    # which the constructor strips; dedupe preserving order
-    seen = set()
-    uniq = []
-    for y in out:
-        if y.rows not in seen:
-            seen.add(y.rows)
-            uniq.append(y)
-    assert len(uniq) == comb(nrows + ncols, nrows)
-    return uniq
+    return out
 
 
 def weight_of_young(y: YoungDiagram, r: int, spin: bool = False) -> Weight:
@@ -181,25 +152,3 @@ def weight_of_young(y: YoungDiagram, r: int, spin: bool = False) -> Weight:
         raise ValueError(f"{y} has more than {r} rows")
     shift = HALF if spin else Fraction(0)
     return Weight(tuple(Fraction(y.row(i + 1)) + shift for i in range(r)))
-
-
-def young_of_weight(lam: Weight) -> tuple[YoungDiagram, bool]:
-    """Inverse of weight_of_young: returns (Y, spin_flag)."""
-    spin = lam.is_spin
-    shift = HALF if spin else Fraction(0)
-    rows = tuple(int(c - shift) for c in lam.coords)
-    return YoungDiagram(rows), spin
-
-
-def sigma_orbit_class(lam: Weight, r: int, s: int) -> str:
-    """Classify the sigma-orbit of a level-(2s+1) weight of so(2r+1)."""
-    ell = 2 * s + 1
-    check_level(lam, ell)
-    if lam.is_so:
-        return SO_PAIR
-    return SPIN_FIXED if sigma(lam, ell) == lam else SPIN_PAIR
-
-
-def count_sigma_fixed(r: int, s: int) -> int:
-    """Number of sigma-fixed level-(2s+1) weights: |Y_{r,s}| - |Y_{r,s-1}|."""
-    return comb(r + s, r) - comb(r + s - 1, r)

@@ -177,6 +177,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: oxbury takes --rank/--level or --r/--s, not both\n"
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_unprintable_result_is_1(self, capsys, flags):
+        # 4^8000 has 4817 digits, past Python's default limit of 4300 for
+        # converting an int to a string: rendering the report raises
+        rc = main(["theta-counts", "--genus", "8000", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Exceeds the limit (4300 digits)")
+
     def test_engine_disagreement_is_2(self, capsys, monkeypatch):
         import thetablocks.verlinde
 

@@ -6,13 +6,15 @@ import pytest
 from thetablocks.rootsys import (
     RankError,
     Weight,
-    dominant_conjugate_shifted,
-    killing_form,
-    orbit_size,
+    _weight_multiplicities_dbl,
+    dbl,
+    fold_shifted,
     root_system,
-    weight_multiplicities,
     weyl_dim,
+    weyl_orbit_dbl,
 )
+
+from reference import from_omega, omega_coords, orbit_size
 
 
 def b2_weyl_group():
@@ -37,14 +39,8 @@ class TestRootSystem:
             assert rs.dual_coxeter == 2 * r - 1
 
     def test_theta_norm(self):
-        rs = root_system(3)
-        assert killing_form(rs.highest_root, rs.highest_root) == 2
-
-    def test_killing_form_examples(self):
-        assert killing_form((1, 0), (1, 0)) == 1
-        assert killing_form((F(3, 2), F(1, 2)), (1, 0)) == F(3, 2)
-        with pytest.raises(ValueError):
-            killing_form((1, 0), (1, 0, 0))
+        # the invariant form is the dot product in L-coordinates
+        assert sum(c * c for c in root_system(3).highest_root) == 2
 
     def test_rank_one_rejected(self):
         with pytest.raises(RankError):
@@ -66,7 +62,7 @@ class TestWeight:
         for r in (2, 3, 4):
             for i in range(r + 1):
                 w = Weight.fundamental(r, i)
-                assert Weight.from_omega(w.omega_coords()) == w
+                assert from_omega(omega_coords(w)) == w
 
     def test_parse_str_round_trip(self):
         w = Weight.parse("3/2,1/2")
@@ -88,35 +84,32 @@ class TestWeylDim:
 
 
 class TestDominantConjugate:
+    """fold_shifted on doubled coordinates: the dominant representative of a
+    rho-shifted vector and the determinant of the folding element."""
+
     def test_already_dominant(self):
-        assert dominant_conjugate_shifted((F(5, 2), F(1, 2))) == (
-            Weight.parse("5/2,1/2"),
-            1,
-        )
+        assert fold_shifted((5, 1)) == ((5, 1), 1)
 
     def test_walls(self):
-        assert dominant_conjugate_shifted((3, 0)) is None
-        assert dominant_conjugate_shifted((2, -2)) is None
+        assert fold_shifted((6, 0)) is None
+        assert fold_shifted((4, -4)) is None
 
     def test_against_group_enumeration(self):
         # the sign is the determinant of the (unique) folding group element
         cases = [(-F(1, 2), F(3, 2)), (F(1, 2), F(5, 2)), (-3, 1), (-2, -4)]
         for v in cases:
-            got = dominant_conjugate_shifted(v)
+            got = fold_shifted(dbl(v))
             matches = []
             for act, det in b2_weyl_group():
                 img = act(v)
                 if img[0] > img[1] > 0:
-                    matches.append((Weight(tuple(F(c) for c in img)), det))
+                    matches.append((dbl(img), det))
             assert len(matches) == 1
             assert got == matches[0]
 
     def test_spec_example_sign(self):
         # the folding element for (-1/2, 3/2) is [[0,1],[-1,0]], det +1
-        assert dominant_conjugate_shifted((-F(1, 2), F(3, 2))) == (
-            Weight.parse("3/2,1/2"),
-            1,
-        )
+        assert fold_shifted((-1, 3)) == ((3, 1), 1)
 
 
 def sym2_zero_multiplicity():
@@ -132,39 +125,42 @@ def sym2_zero_multiplicity():
     return count - 1  # remove the trivial summand
 
 
+def multiplicities(coords):
+    """Freudenthal multiplicities of V_lambda, keyed by doubled weights."""
+    return _weight_multiplicities_dbl(dbl(Weight.parse(coords).coords))
+
+
 class TestFreudenthal:
     def test_vector_rep(self):
-        mult = weight_multiplicities(Weight.fundamental(2, 1))
-        assert mult == {Weight.parse("1,0"): 1, Weight.parse("0,0"): 1}
+        assert multiplicities("1,0") == {(2, 0): 1, (0, 0): 1}
 
     def test_spin_rep(self):
-        mult = weight_multiplicities(Weight.fundamental(2, 2))
-        assert mult == {Weight.parse("1/2,1/2"): 1}
+        assert multiplicities("1/2,1/2") == {(1, 1): 1}
 
     def test_sym_square(self):
-        mult = weight_multiplicities(Weight.parse("2,0"))
-        assert mult[Weight.parse("0,0")] == sym2_zero_multiplicity() == 2
+        assert multiplicities("2,0")[(0, 0)] == sym2_zero_multiplicity() == 2
 
     def test_adjoint_zero_mult_is_rank(self):
-        mult = weight_multiplicities(Weight.parse("1,1"))
-        assert mult[Weight.parse("0,0")] == 2
+        assert multiplicities("1,1")[(0, 0)] == 2
 
     @pytest.mark.parametrize(
         "coords",
         ["2,1", "3/2,1/2", "2,2", "2,1,0", "3/2,3/2,1/2", "1,1,1,0"],
     )
     def test_orbit_sum_equals_dimension(self, coords):
-        lam = Weight.parse(coords)
-        total = sum(
-            orbit_size(mu.coords) * m
-            for mu, m in weight_multiplicities(lam).items()
-        )
-        assert total == weyl_dim(lam)
+        total = sum(orbit_size(mu) * m for mu, m in multiplicities(coords).items())
+        assert total == weyl_dim(Weight.parse(coords))
 
 
 class TestOrbitSize:
+    """The closed-form reference in doubled coordinates."""
+
     def test_examples(self):
-        assert orbit_size((F(1), F(0))) == 4
-        assert orbit_size((F(1, 2), F(1, 2))) == 4
-        assert orbit_size((F(0), F(0))) == 1
-        assert orbit_size((F(2), F(1))) == 8
+        assert orbit_size((2, 0)) == 4
+        assert orbit_size((1, 1)) == 4
+        assert orbit_size((0, 0)) == 1
+        assert orbit_size((4, 2)) == 8
+        # and the orbits weyl_orbit_dbl enumerates
+        for dom in ((2, 0), (1, 1), (0, 0), (4, 2), (4, 4, 0), (3, 1, 1), (6, 4, 2, 0)):
+            orbit = list(weyl_orbit_dbl(dom))
+            assert len(set(orbit)) == len(orbit) == orbit_size(dom), dom

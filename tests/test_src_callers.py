@@ -1,0 +1,68 @@
+"""Every module-level function and class in src/thetablocks has a caller in
+the program: src/, scripts/ or perfbench/.  Tests do not count, so code that
+only tests reach fails here; it belongs in tests/ as a reference, or nowhere.
+
+A reference is an identifier or attribute of that name in the syntax tree.
+References inside the definition itself do not count, and neither do those
+inside other definitions that have no caller, so a chain of dead helpers
+fails as a whole.  Imports and `__all__` entries are not references, so a
+re-export in a package `__init__` does not keep a name alive."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAM = ("src", "scripts", "perfbench")
+
+
+def _definitions():
+    """(path, name, first line, last line) of each module-level def/class."""
+    out = []
+    for path in sorted((ROOT / "src" / "thetablocks").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((path, node.name, node.lineno, node.end_lineno))
+    return out
+
+
+def _references():
+    """name -> [(path, line)] of every identifier and attribute use."""
+    refs = {}
+    for top in PROGRAM:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def uncalled():
+    """Names of the definitions with no reference outside dead code."""
+    defs, refs = _definitions(), _references()
+    dead: set = set()
+    while True:
+        dead_spans = [(p, a, b) for p, n, a, b in defs if (p, n) in dead]
+
+        def live(ref, own):
+            path, line = ref
+            return not any(
+                path == p and a <= line <= b for p, a, b in dead_spans + [own]
+            )
+
+        new = {
+            (p, n)
+            for p, n, a, b in defs
+            if not any(live(ref, (p, a, b)) for ref in refs.get(n, ()))
+        }
+        if new == dead:
+            return sorted(f"{p.relative_to(ROOT)}:{n}" for p, n in dead)
+        dead = new
+
+
+def test_every_definition_in_src_has_a_caller():
+    assert uncalled() == []

@@ -8,7 +8,6 @@ from thetablocks.fusion import FusionTable
 from thetablocks.goldens import want
 from thetablocks.rootsys import Weight
 from thetablocks.verlinde import (
-    char_sign,
     dim_trig,
     n0_oxbury,
     oxbury_check,
@@ -96,11 +95,6 @@ class TestDimTrig:
 
 
 class TestOxbury:
-    def test_char_sign(self):
-        assert char_sign(Weight.parse("1,0")) == 1
-        assert char_sign(Weight.fundamental(2, 2)) == -1
-        assert char_sign(Weight.fundamental(4, 4)) == -1
-
     def test_level_one_totals(self):
         # twisted_total(g, 2, 1) is a golden row
         for g in (2, 3):
