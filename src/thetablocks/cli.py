@@ -387,6 +387,10 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:  # OSError: cache I/O
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RecursionError:  # FusionRing.dim_genus_g recurses once per genus
+        print("error: genus too deep for the exact engine's genus recursion",
+              file=sys.stderr)
+        return EXIT_PARSE
     if text is not None:
         print(text)
     return 0

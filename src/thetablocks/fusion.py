@@ -27,7 +27,6 @@ from .rootsys import (
     dbl,
     fold_shifted,
     require_rank,
-    undbl,
     weyl_dim,
     weyl_orbit_dbl,
 )
@@ -45,11 +44,6 @@ def _weight_system(lam_d: tuple[int, ...]) -> tuple:
         for v in weyl_orbit_dbl(dom):
             out.append((v, m))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _dim_dbl(lam_d: tuple[int, ...]) -> int:
-    return weyl_dim(Weight(undbl(lam_d)))
 
 
 def _affine_fold(x: tuple[int, ...], k2: int):
@@ -102,7 +96,7 @@ def _fusion_product_dbl(lam_d, mu_d, r: int, ell: int) -> dict:
         return {(ell2 - k[0],) + k[1:]: n for k, n in row.items()}
     rho = _dbl_rho(r)
     k2 = 2 * (ell + 2 * r - 1)
-    if _dim_dbl(mu_d) > _dim_dbl(lam_d):
+    if weyl_dim(mu_d) > weyl_dim(lam_d):
         lam_d, mu_d = mu_d, lam_d
     shift = tuple(map(add, lam_d, rho))
     acc: dict = {}  # alcove point nu + rho -> signed multiplicity
@@ -138,6 +132,7 @@ class FusionRing:
         self._memo_genus: dict = {}
 
     def triple(self, lam: Weight, mu: Weight, nu: Weight) -> int:
+        _check_weight(nu, self.rank, self.level)  # product() checks the others
         return self.product(lam, mu).get(nu, 0)
 
     def dim_genus0(self, lams) -> int:

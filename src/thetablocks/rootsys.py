@@ -5,9 +5,9 @@ of nonnegative rationals, all integral or all half-odd-integral.  The bilinear
 form is normalized so that (theta, theta) = 2 for the highest root
 theta = L1 + L2; in L-coordinates it is the plain dot product.
 
-Internally most routines work on "doubled" coordinates (tuples of ints equal
-to twice the L-coordinates) so the hot folding loops stay in integer
-arithmetic.
+The root data, the Weyl dimension and every routine below `Weight` work on
+"doubled" coordinates (tuples of ints equal to twice the L-coordinates), so
+they stay in integer arithmetic; `Weight` is the Fraction boundary.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class Weight:
         """True iff every coordinate is integral (exponentiates to SO(2r+1))."""
         return self.coords[0].denominator == 1
 
-    @property
-    def is_spin(self) -> bool:
-        return not self.is_so
-
     @classmethod
     def zero(cls, r: int) -> "Weight":
         return cls((Fraction(0),) * r)
@@ -103,40 +99,7 @@ class Weight:
         return ",".join(str(c) for c in self.coords)
 
 
-@dataclass(frozen=True)
-class RootSystemB:
-    """Root data of B_r in L-coordinates."""
-
-    rank: int
-    positive_roots: tuple[tuple[Fraction, ...], ...]
-    rho: tuple[Fraction, ...]
-    dual_coxeter: int
-    highest_root: tuple[Fraction, ...]
-
-
-@lru_cache(maxsize=None)
-def root_system(r: int) -> RootSystemB:
-    require_rank(r)
-    roots = []
-
-    def vec(pairs):
-        v = [Fraction(0)] * r
-        for idx, val in pairs:
-            v[idx] = Fraction(val)
-        return tuple(v)
-
-    for i in range(r):
-        for j in range(i + 1, r):
-            roots.append(vec([(i, 1), (j, -1)]))
-            roots.append(vec([(i, 1), (j, 1)]))
-    for i in range(r):
-        roots.append(vec([(i, 1)]))
-    rho = tuple(Fraction(2 * r - 2 * i - 1, 2) for i in range(r))
-    theta = vec([(0, 1), (1, 1)])
-    return RootSystemB(r, tuple(roots), rho, 2 * r - 1, theta)
-
-
-# -- doubled-coordinate helpers (ints equal to 2*L-coordinate) ---------------
+# -- doubled-coordinate root data (ints equal to 2*L-coordinate) ------------
 
 def dbl(coords) -> tuple[int, ...]:
     out = []
@@ -146,10 +109,6 @@ def dbl(coords) -> tuple[int, ...]:
     return tuple(out)
 
 
-def undbl(t: tuple[int, ...]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c, 2) for c in t)
-
-
 @lru_cache(maxsize=None)
 def _dbl_rho(r: int) -> tuple[int, ...]:
     return tuple(2 * r - 2 * i - 1 for i in range(r))
@@ -157,7 +116,16 @@ def _dbl_rho(r: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _dbl_positive_roots(r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(dbl(a) for a in root_system(r).positive_roots)
+    """The r^2 positive roots of B_r, doubled: L_i - L_j and L_i + L_j for
+    i < j, then the short roots L_i."""
+    require_rank(r)
+    unit = tuple(tuple(2 * (k == i) for k in range(r)) for i in range(r))
+    long_roots = tuple(
+        tuple(a + s * b for a, b in zip(unit[i], unit[j]))
+        for i, j in itertools.combinations(range(r), 2)
+        for s in (-1, 1)
+    )
+    return long_roots + unit
 
 
 def fold_shifted(x: tuple[int, ...]):
@@ -280,15 +248,14 @@ def weyl_orbit_dbl(dom: tuple[int, ...]):
             yield tuple(v)
 
 
-def weyl_dim(lam: Weight) -> int:
-    """Weyl dimension formula for V_lambda."""
-    r = lam.rank
-    rho = _dbl_rho(r)
-    x = tuple(a + b for a, b in zip(dbl(lam.coords), rho))
-    num = Fraction(1)
-    for alpha in _dbl_positive_roots(r):
-        xa = sum(a * b for a, b in zip(x, alpha))
-        ra = sum(a * b for a, b in zip(rho, alpha))
-        num *= Fraction(xa, ra)
-    assert num.denominator == 1
-    return int(num)
+@lru_cache(maxsize=None)
+def weyl_dim(lam_d: tuple[int, ...]) -> int:
+    """Weyl dimension formula for V_lambda, lambda in doubled coordinates:
+    the product over positive roots of (lam+rho, alpha) / (rho, alpha)."""
+    rho = _dbl_rho(len(lam_d))
+    x = tuple(a + b for a, b in zip(lam_d, rho))
+    num = den = 1
+    for alpha in _dbl_positive_roots(len(lam_d)):
+        num *= sum(a * b for a, b in zip(x, alpha))
+        den *= sum(a * b for a, b in zip(rho, alpha))
+    return num // den

@@ -13,14 +13,13 @@ here too; every sum must round to an integer within DEFAULT_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 
 from .common import DEFAULT_DPS
-from .rootsys import Weight, root_system, require_rank
-from .weights import check_level, enumerate_level
+from .rootsys import Weight, _dbl_positive_roots, _dbl_rho, dbl, require_rank
+from .weights import check_level, enumerate_level, sigma
 
 DEFAULT_TOL = 1e-6
 
@@ -38,18 +37,16 @@ class SMatrix:
     dps: int
 
 
-def _to_mpf(q: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(q.numerator) / q.denominator
-
-
 @lru_cache(maxsize=None)
 def s_matrix(r: int, ell: int, dps: int = DEFAULT_DPS) -> SMatrix:
     require_rank(r)
     ws = enumerate_level(r, ell)
-    rho = root_system(r).rho
+    rho = _dbl_rho(r)
     k = ell + 2 * r - 1
     with mpmath.workdps(dps):
-        shifted = [[_to_mpf(c + p) for c, p in zip(w.coords, rho)] for w in ws]
+        # x = lam + rho, halved from doubled ints (exact in binary)
+        shifted = [[mpmath.mpf(c + p) / 2 for c, p in zip(dbl(w.coords), rho)]
+                   for w in ws]
         two_pi_over_k = 2 * mpmath.pi / k
         raw = []
         for x in shifted:
@@ -113,31 +110,21 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     require_rank(r)
     if g < 1:
         raise ValueError("n0_oxbury needs g >= 1")
-    rs = root_system(r)
+    rho, roots = _dbl_rho(r), _dbl_positive_roots(r)
     k = ell + 2 * r - 1
     so_weights = [w for w in enumerate_level(r, ell) if w.is_so]
     with mpmath.workdps(dps):
         pi_over_k = mpmath.pi / k
         total = mpmath.mpf(0)
         for mu in so_weights:
-            shifted = tuple(c + p for c, p in zip(mu.coords, rs.rho))
-            prod = mpmath.fprod(
-                (
-                    2
-                    * mpmath.sin(
-                        pi_over_k
-                        * _to_mpf(
-                            sum(
-                                (a * b for a, b in zip(shifted, alpha)),
-                                Fraction(0),
-                            )
-                        )
-                    )
-                )
-                ** (2 - 2 * g)
-                for alpha in rs.positive_roots
+            x = tuple(c + p for c, p in zip(dbl(mu.coords), rho))
+            # (mu + rho, alpha) is the dot product of the doubled vectors over 4
+            total += mpmath.fprod(
+                (2 * mpmath.sin(
+                    pi_over_k * (mpmath.mpf(sum(a * b for a, b in zip(x, alpha))) / 4)
+                )) ** (2 - 2 * g)
+                for alpha in roots
             )
-            total += prod
         total *= (4 * mpmath.mpf(k) ** r) ** (g - 1)
         return _round_checked(total)
 
@@ -145,9 +132,7 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
 def twisted_total(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     """dim V_{omega_0} + dim V_{ell*omega_1} at genus g (one marked point
     carries ell*omega_1); equals 2 * n0_oxbury by the character-sign collapse."""
-    top = Weight(
-        (Fraction(ell),) + (Fraction(0),) * (r - 1)
-    )  # ell * omega_1
+    top = sigma(Weight.zero(r), ell)  # ell * omega_1
     vac = dim_trig(g, [], r, ell, dps)
     twisted = dim_trig(g, [top], r, ell, dps)
     return vac + twisted

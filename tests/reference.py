@@ -5,8 +5,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from thetablocks.fusion import _dim_dbl, _weight_system
-from thetablocks.rootsys import Weight, _dbl_rho, fold_shifted
+from thetablocks.fusion import _weight_system
+from thetablocks.rootsys import Weight, _dbl_rho, fold_shifted, weyl_dim
 
 
 @lru_cache(maxsize=None)
@@ -15,7 +15,7 @@ def tensor_product(lam_d, mu_d):
     folding lam + rho + v through the finite Weyl group for every weight v
     of the smaller factor."""
     rho = _dbl_rho(len(lam_d))
-    if _dim_dbl(mu_d) > _dim_dbl(lam_d):
+    if weyl_dim(mu_d) > weyl_dim(lam_d):
         lam_d, mu_d = mu_d, lam_d
     shift = tuple(a + b for a, b in zip(lam_d, rho))
     acc = {}

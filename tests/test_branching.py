@@ -17,7 +17,7 @@ from thetablocks.branching import (
     ranklevel_report,
     sewing_exponent,
 )
-from thetablocks.rootsys import Weight, root_system
+from thetablocks.rootsys import Weight, _dbl_rho
 from thetablocks.weights import enumerate_level, sigma, young_diagrams
 
 
@@ -25,7 +25,7 @@ def _ref_trace_anomaly(lam, ell):
     """Reference: (lam, lam + 2 rho) / (2 (h_vee + ell)), the invariant form
     being the Fraction dot product in L-coordinates."""
     r = lam.rank
-    rho = root_system(r).rho
+    rho = tuple(F(p, 2) for p in _dbl_rho(r))
     form = sum(c * (c + 2 * p) for c, p in zip(lam.coords, rho))
     return form / (2 * (2 * r - 1 + ell))
 

@@ -187,6 +187,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: Exceeds the limit (4300 digits)")
 
+    def test_genus_past_the_recursion_limit_is_1(self, capsys):
+        # the exact engine recurses once per genus, two frames a level
+        # (dim_genus_g and its sum's generator): genus 600 passes Python's
+        # default recursion limit of 1000 frames
+        rc = main(["dim", "--genus", "600", "--rank", "2", "--level", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: genus too deep for the exact engine's genus recursion\n"
+
     def test_engine_disagreement_is_2(self, capsys, monkeypatch):
         import thetablocks.verlinde
 

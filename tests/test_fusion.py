@@ -84,6 +84,19 @@ class TestFusion:
         w = Weight.parse("2,0")
         with pytest.raises(LevelError):
             FusionTable(2, 1).triple(w, w, w)
+        # one weight above the level, in each of the three slots
+        w1 = Weight.fundamental(2, 1)
+        for slot in range(3):
+            args = [w1, w1, w1]
+            args[slot] = Weight.parse("9,0")
+            with pytest.raises(LevelError):
+                FusionTable(2, 3).triple(*args)
+        w0, bad = Weight.zero(2), Weight.parse("3,1")
+        with pytest.raises(LevelError):
+            LevelOneTable(2).triple(w0, w0, bad)
+        for args in ((bad, w0, w0), (w0, bad, w0)):
+            with pytest.raises(ValueError):
+                LevelOneTable(2).triple(*args)
 
     def test_vacuum_column(self):
         t = FusionTable(2, 3)
@@ -101,7 +114,7 @@ class TestFusion:
             t = FusionTable(r, ell)
             w1 = Weight.fundamental(r, 1)
             for lam in t.weights():
-                if lam.is_spin:
+                if not lam.is_so:
                     assert t.triple(lam, lam, w1) == 1, lam
 
     def test_sigma_equivariance_exhaustive(self):
@@ -117,6 +130,13 @@ class TestFusion:
         t = FusionTable(3, 3)
         with pytest.raises(ValueError, match="expected rank 3"):
             t.triple(w3, w2, w3)
+        for slot in range(3):
+            args = [w3, w3, w3]
+            args[slot] = w2
+            with pytest.raises(ValueError, match="expected rank 3"):
+                t.triple(*args)
+        with pytest.raises(ValueError, match="expected rank 2"):
+            LevelOneTable(2).triple(w2, w2, Weight.zero(3))
         with pytest.raises(ValueError, match="expected rank 3"):
             t.product(w2, w3)
         with pytest.raises(ValueError, match="expected rank 3"):

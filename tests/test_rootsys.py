@@ -6,10 +6,11 @@ import pytest
 from thetablocks.rootsys import (
     RankError,
     Weight,
+    _dbl_positive_roots,
+    _dbl_rho,
     _weight_multiplicities_dbl,
     dbl,
     fold_shifted,
-    root_system,
     weyl_dim,
     weyl_orbit_dbl,
 )
@@ -31,20 +32,34 @@ def b2_weyl_group():
 
 
 class TestRootSystem:
+    """Root data in doubled coordinates (ints equal to 2x the L-coordinates)."""
+
     def test_counts_and_rho(self):
         for r in (2, 3, 4, 5):
-            rs = root_system(r)
-            assert len(rs.positive_roots) == r * r
-            assert rs.rho == tuple(F(2 * r - 2 * i - 1, 2) for i in range(r))
-            assert rs.dual_coxeter == 2 * r - 1
+            roots = _dbl_positive_roots(r)
+            assert len(roots) == len(set(roots)) == r * r
+            assert _dbl_rho(r) == tuple(2 * r - 2 * i - 1 for i in range(r))
+            # rho is half the sum of the positive roots
+            assert tuple(sum(c) // 2 for c in zip(*roots)) == _dbl_rho(r)
+            # h_vee = (rho, theta) + 1, a doubled dot product over 4
+            theta = (2, 2) + (0,) * (r - 2)
+            assert theta in roots
+            assert sum(a * b for a, b in zip(_dbl_rho(r), theta)) // 4 + 1 == 2 * r - 1
+
+    def test_root_order(self):
+        # long roots L_i - L_j, L_i + L_j (i < j), then the short roots L_i
+        assert _dbl_positive_roots(2) == ((2, -2), (2, 2), (2, 0), (0, 2))
 
     def test_theta_norm(self):
-        # the invariant form is the dot product in L-coordinates
-        assert sum(c * c for c in root_system(3).highest_root) == 2
+        # the invariant form is the dot product in L-coordinates:
+        # (theta, theta) = 2 reads 8 on doubled vectors
+        theta = (2, 2, 0)
+        assert theta in _dbl_positive_roots(3)
+        assert sum(c * c for c in theta) == 8
 
     def test_rank_one_rejected(self):
         with pytest.raises(RankError):
-            root_system(1)
+            _dbl_positive_roots(1)
         with pytest.raises(RankError):
             Weight((F(1),))
 
@@ -67,20 +82,20 @@ class TestWeight:
     def test_parse_str_round_trip(self):
         w = Weight.parse("3/2,1/2")
         assert str(w) == "3/2,1/2"
-        assert w.is_spin and not w.is_so
+        assert not w.is_so
         assert w.level == 2
 
 
 class TestWeylDim:
     def test_small(self):
-        assert weyl_dim(Weight.fundamental(2, 1)) == 5
-        assert weyl_dim(Weight.fundamental(2, 2)) == 4
+        assert weyl_dim((2, 0)) == 5  # omega_1 of so(5)
+        assert weyl_dim((1, 1)) == 4  # omega_2, the spin weight of so(5)
         # adjoint of so(7) = Lambda^2(vector): 7*6/2
-        assert weyl_dim(Weight.parse("1,1,0")) == 21
+        assert weyl_dim((2, 2, 0)) == 21
 
     def test_spin_dimension(self):
         for r in (2, 3, 4):
-            assert weyl_dim(Weight.fundamental(r, r)) == 2 ** r
+            assert weyl_dim((1,) * r) == 2 ** r
 
 
 class TestDominantConjugate:
@@ -149,7 +164,7 @@ class TestFreudenthal:
     )
     def test_orbit_sum_equals_dimension(self, coords):
         total = sum(orbit_size(mu) * m for mu, m in multiplicities(coords).items())
-        assert total == weyl_dim(Weight.parse(coords))
+        assert total == weyl_dim(dbl(Weight.parse(coords).coords))
 
 
 class TestOrbitSize:

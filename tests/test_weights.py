@@ -49,7 +49,7 @@ class TestEnumerateLevel:
 
     def test_deterministic_order(self):
         assert list(enumerate_level(2, 3)) == sorted(
-            enumerate_level(2, 3), key=lambda w: (w.is_spin, w.coords)
+            enumerate_level(2, 3), key=lambda w: (not w.is_so, w.coords)
         )
 
 
@@ -146,7 +146,7 @@ class TestSigmaOrbits:
         for r, s in ((2, 2), (2, 3), (3, 2), (3, 3)):
             ell = 2 * s + 1
             fixed = sum(
-                1 for w in enumerate_level(r, ell) if w.is_spin and sigma(w, ell) == w
+                1 for w in enumerate_level(r, ell) if not w.is_so and sigma(w, ell) == w
             )
             assert fixed == comb(r + s, r) - comb(r + s - 1, r)
 
