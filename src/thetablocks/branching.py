@@ -11,6 +11,7 @@ from .fusion import FusionTable, LevelOneTable
 from .rootsys import Weight, _dbl_rho, dbl, require_rank
 from .weights import (
     check_level,
+    check_weight,
     sigma,
     star,
     transpose,
@@ -81,9 +82,8 @@ def sewing_exponent(lam: Weight, mu: Weight, Lambda: str, r: int, s: int) -> int
     """m = Delta_lam + Delta_mu - Delta_Lambda; a branching pair must give a
     nonnegative integer."""
     p = EmbeddingParams(r, s)
-    for w, n in ((lam, r), (mu, s)):
-        if w.rank != n:
-            raise ValueError(f"{w} has rank {w.rank}, expected rank {n}")
+    check_weight(lam, r, p.levels[0])
+    check_weight(mu, s, p.levels[1])
     return _sewing(lam, mu, Lambda, p)
 
 

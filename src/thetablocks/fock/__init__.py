@@ -1,57 +1,10 @@
 """Symbolic free-fermion engine over Q[sqrt(2)] for the level-one modules of
-so(2d+1) on the tensor grid W_r (x) W_s."""
+so(2d+1) on the tensor grid W_r (x) W_s.
 
-from .algebra import bracket, invariant_form
-from .blocks import PSI, PSITILDE, UnreducibleError, evaluate_block
-from .coeff import INV_SQRT2, ONE, SQRT2, ZERO, QSqrt2
-from .forms import GroundStratumError, psi_pair, psitilde
-from .hwv import (
-    black_positions,
-    ns_column_hwv,
-    sigma_twist_hwv,
-    sigma_twist_hwv_opposite,
-    so_pair_hwv,
-    spin_hwv,
-    spin_hwv_opposite,
-)
-from .operators import BilinearOp, SlotExpression, apply_LR, apply_bilinear, apply_word
-from .ranklevel import RankLevelMatrix, ranklevel_matrix
-from .states import NS, R, FockState, FockVector, SectorError, clifford_apply, vacuum
+The package names only `ranklevel_matrix`; import everything else from the
+submodule that defines it (`thetablocks.fock.blocks`,
+`thetablocks.fock.states`, ...)."""
 
-__all__ = [
-    "PSI",
-    "PSITILDE",
-    "BilinearOp",
-    "FockState",
-    "FockVector",
-    "GroundStratumError",
-    "INV_SQRT2",
-    "NS",
-    "ONE",
-    "QSqrt2",
-    "R",
-    "RankLevelMatrix",
-    "SQRT2",
-    "SectorError",
-    "SlotExpression",
-    "UnreducibleError",
-    "ZERO",
-    "apply_LR",
-    "apply_bilinear",
-    "apply_word",
-    "black_positions",
-    "bracket",
-    "clifford_apply",
-    "evaluate_block",
-    "invariant_form",
-    "ns_column_hwv",
-    "psi_pair",
-    "psitilde",
-    "ranklevel_matrix",
-    "sigma_twist_hwv",
-    "sigma_twist_hwv_opposite",
-    "so_pair_hwv",
-    "spin_hwv",
-    "spin_hwv_opposite",
-    "vacuum",
-]
+from .ranklevel import ranklevel_matrix
+
+__all__ = ["ranklevel_matrix"]

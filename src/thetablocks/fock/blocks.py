@@ -96,40 +96,19 @@ def _final_value(slots: tuple, form: str) -> QSqrt2:
     raise ValueError(f"form must be {PSI} or {PSITILDE}")
 
 
-def _as_combination(slot) -> list:
-    if isinstance(slot, SlotExpression):
-        return [(ONE, slot)]
-    if isinstance(slot, FockVector):
-        return [(ONE, SlotExpression((), slot))]
-    return [(QSqrt2.of(c), e) for c, e in slot]
-
-
 def evaluate_block(
-    slot1,
-    slot2,
-    slot3,
+    slot1: SlotExpression,
+    slot2: SlotExpression,
+    slot3: SlotExpression,
     form: str,
     strip_order=None,
 ) -> QSqrt2:
     """Evaluate <form | slot1 (x) slot2 (x) slot3> by gauge reduction.
 
-    Slots may be SlotExpressions, bare ground FockVectors, or linear
-    combinations [(coeff, SlotExpression), ...]; the block is multilinear.
     strip_order optionally forces which slot is reduced first at each step
     (a sequence of slot indices consumed left to right); the result is
     independent of the choice.
     """
-    combos = [_as_combination(s) for s in (slot1, slot2, slot3)]
-    if any(len(c) != 1 for c in combos):
-        total = ZERO
-        for c1, e1 in combos[0]:
-            for c2, e2 in combos[1]:
-                for c3, e3 in combos[2]:
-                    term = evaluate_block(e1, e2, e3, form, strip_order)
-                    total = total + c1 * c2 * c3 * term
-        return total
-    (c1, slot1), (c2, slot2), (c3, slot3) = (c[0] for c in combos)
-    scale = c1 * c2 * c3
     order = tuple(strip_order) if strip_order is not None else ()
 
     def reduce(slots: tuple, depth: int) -> QSqrt2:
@@ -161,4 +140,4 @@ def evaluate_block(
                         total = total + QSqrt2.of(c) * c2 * term
         return total
 
-    return scale * reduce((slot1, slot2, slot3), 0)
+    return reduce((slot1, slot2, slot3), 0)

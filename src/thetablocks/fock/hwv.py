@@ -3,7 +3,7 @@ Fock modules of so(2d+1), in operator ("Kac-Moody") or wedge form."""
 
 from __future__ import annotations
 
-from .operators import BilinearOp, SlotExpression, apply_word
+from .operators import BilinearOp, SlotExpression
 from .states import NS, R, FockState, FockVector, _index_positive, vacuum
 from ..weights import YoungDiagram
 
@@ -105,7 +105,7 @@ def so_pair_hwv(y: YoungDiagram, r: int, s: int) -> FockVector:
         base = _wedge_vector(NS, False, [(-1, 1, 1)])
     else:
         base = FockVector.unit(vacuum(NS))
-    return apply_word(reversed(word), base)
+    return SlotExpression(tuple(reversed(word)), base).value()
 
 
 def sigma_twist_ops(y: YoungDiagram, r: int, s: int) -> list[BilinearOp]:

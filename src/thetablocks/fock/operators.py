@@ -77,13 +77,6 @@ def apply_bilinear(op: BilinearOp, v: FockVector) -> FockVector:
     return FockVector(out)
 
 
-def apply_word(word, v: FockVector) -> FockVector:
-    """Apply a word of bilinears, rightmost first."""
-    for op in reversed(tuple(word)):
-        v = apply_bilinear(op, v)
-    return v
-
-
 def apply_LR(i: int, j: int, mode: int, side: str, v: FockVector, r: int, s: int) -> FockVector:
     """Embedded action of B^i_j(mode): side "L" sums phi^{i,q} phi_{j,q} over
     q in [-s..s] (so(2r+1)); side "R" sums phi^{p,i} phi_{p,j} over

@@ -110,7 +110,8 @@ def _det(ctx):
 
 def _r_action(k, r):
     """R(B^0_1)^k applied to phi^{1,1} ... phi^{k,1}(-1/2) in W_r (x) W_2."""
-    from .fock import NS, FockVector, apply_LR, clifford_apply, vacuum
+    from .fock.operators import apply_LR
+    from .fock.states import NS, FockVector, clifford_apply, vacuum
 
     v = FockVector.unit(vacuum(NS))
     for j in range(k, 0, -1):
@@ -126,7 +127,7 @@ def _r_action_once(ctx):
 
 def _r_action_cubed(ctx):
     """(leading coefficient, sorted cross-term coefficients)."""
-    from .fock import NS, FockState
+    from .fock.states import NS, FockState
 
     v = _r_action(3, 3)
     lead = FockState(NS, ((-1, 1, 0), (-1, 2, 0), (-1, 3, 0)))
@@ -162,14 +163,3 @@ GOLDENS = (
              _r_action_cubed, (lead, (cross,) * 6))
       for lead, cross in (("6", "-3"),)),
 )
-
-
-def rows(prefix: str) -> tuple[Golden, ...]:
-    """The rows whose name starts with `prefix`, in table order."""
-    return tuple(row for row in GOLDENS if row.name.startswith(prefix))
-
-
-def want(prefix: str):
-    """The wanted value of the one row whose name starts with `prefix`."""
-    (row,) = rows(prefix)
-    return row.want

@@ -19,7 +19,7 @@ import mpmath
 
 from .common import DEFAULT_DPS
 from .rootsys import Weight, _dbl_positive_roots, _dbl_rho, dbl, require_rank
-from .weights import check_level, enumerate_level, sigma
+from .weights import check_weight, enumerate_level, sigma
 
 DEFAULT_TOL = 1e-6
 
@@ -81,14 +81,10 @@ def dim_trig(g: int, lams, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
         raise ValueError("genus must be >= 0")
     lams = list(lams)
     for w in lams:
-        check_level(w, ell)
+        check_weight(w, r, ell)
     sm = s_matrix(r, ell, dps)
     index = {w: i for i, w in enumerate(sm.weights)}
-    try:
-        rows = [sm.entries[index[w]] for w in lams]
-    except KeyError as exc:  # check_level passed, so only the rank is wrong
-        w = exc.args[0]
-        raise ValueError(f"{w} has rank {w.rank}, expected rank {r}") from None
+    rows = [sm.entries[index[w]] for w in lams]
     vacuum = sm.entries[0]
     power = 2 - 2 * g - len(lams)
     with mpmath.workdps(dps):

@@ -19,6 +19,14 @@ def check_level(lam: Weight, ell: int) -> None:
         raise LevelError(f"{lam} is above level {ell}")
 
 
+def check_weight(lam: Weight, r: int, ell: int) -> None:
+    """Admit lam as a weight of so(2r+1) at level ell: the rank is checked
+    first (ValueError), then the level (LevelError)."""
+    if lam.rank != r:
+        raise ValueError(f"{lam} has rank {lam.rank}, expected rank {r}")
+    check_level(lam, ell)
+
+
 @lru_cache(maxsize=None)
 def enumerate_level(r: int, ell: int) -> tuple[Weight, ...]:
     """All dominant weights of so(2r+1) with b1 + b2 <= ell.

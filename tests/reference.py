@@ -1,11 +1,15 @@
-"""Independent references that the tests compare the engines against.  None
-of them runs in the program itself."""
+"""Independent references that the tests compare the engines against, and
+the helpers several test modules share.  None of them runs in the program
+itself."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from thetablocks.fock.operators import apply_bilinear
+from thetablocks.fock.states import NS, FockVector, clifford_apply, vacuum
 from thetablocks.fusion import _weight_system
+from thetablocks.goldens import GOLDENS
 from thetablocks.rootsys import Weight, _dbl_rho, fold_shifted, weyl_dim
 
 
@@ -51,3 +55,29 @@ def from_omega(a) -> Weight:
     """The weight with fundamental-weight coefficients a."""
     r = len(a)
     return Weight(tuple(sum(a[i:r - 1]) + Fraction(a[r - 1], 2) for i in range(r)))
+
+
+def apply_word(word, v):
+    """Apply a word of bilinears, rightmost first."""
+    for op in reversed(tuple(word)):
+        v = apply_bilinear(op, v)
+    return v
+
+
+def ns_monomial(*pairs):
+    """phi^{j1,p1}(-1/2) ... phi^{jn,pn}(-1/2) on the NS vacuum."""
+    v = FockVector.unit(vacuum(NS))
+    for j, p in reversed(pairs):
+        v = clifford_apply((-1, j, p), v)
+    return v
+
+
+def golden_rows(prefix: str) -> tuple:
+    """The golden rows whose name starts with `prefix`, in table order."""
+    return tuple(row for row in GOLDENS if row.name.startswith(prefix))
+
+
+def want(prefix: str):
+    """The wanted value of the one golden row whose name starts with `prefix`."""
+    (row,) = golden_rows(prefix)
+    return row.want

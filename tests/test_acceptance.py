@@ -19,27 +19,19 @@ from math import factorial
 
 from thetablocks import goldens
 from thetablocks.branching import branch_pairs
-from thetablocks.fock import (
-    INV_SQRT2,
-    NS,
-    BilinearOp,
-    FockState,
-    FockVector,
-    QSqrt2,
-    apply_LR,
-    apply_bilinear,
-    clifford_apply,
+from thetablocks.fock.algebra import bracket, invariant_form
+from thetablocks.fock.coeff import INV_SQRT2, QSqrt2
+from thetablocks.fock.forms import psi_pair, psitilde
+from thetablocks.fock.hwv import (
     ns_column_hwv,
-    psi_pair,
-    psitilde,
-    ranklevel_matrix,
     sigma_twist_hwv,
     so_pair_hwv,
     spin_hwv,
     spin_hwv_opposite,
-    vacuum,
 )
-from thetablocks.fock.algebra import bracket, invariant_form
+from thetablocks.fock.operators import BilinearOp, apply_LR, apply_bilinear
+from thetablocks.fock.ranklevel import ranklevel_matrix
+from thetablocks.fock.states import NS, FockState, FockVector, clifford_apply
 from thetablocks.fusion import FusionTable, LevelOneTable
 from thetablocks.rootsys import Weight, _weight_multiplicities_dbl, dbl, weyl_dim
 from thetablocks.verlinde import DEFAULT_TOL, dim_trig, theta_counts
@@ -53,7 +45,7 @@ from thetablocks.weights import (
     young_diagrams,
 )
 
-from reference import orbit_size, tensor_product
+from reference import golden_rows, ns_monomial, orbit_size, tensor_product, want
 
 
 def announce(number, title, started):
@@ -63,7 +55,7 @@ def announce(number, title, started):
 def run_goldens(prefix):
     """Run every golden row whose name starts with `prefix`."""
     ctx = goldens.context()
-    ran = goldens.rows(prefix)
+    ran = golden_rows(prefix)
     assert ran, prefix
     for row in ran:
         assert row.compute(ctx) == row.want, row.name
@@ -76,7 +68,7 @@ def test_acceptance_01_level_one_closed_forms():
         ring = LevelOneTable(r)
         w1 = Weight.fundamental(r, 1)
         for g in range(2, 6):
-            assert ring.dim_genus_g(g, [w1]) == goldens.want(f"N_{g}(omega_1, level 1)")
+            assert ring.dim_genus_g(g, [w1]) == want(f"N_{g}(omega_1, level 1)")
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"budget exceeded: {elapsed:.2f} s"
     announce(1, "level-one closed forms, r = 2 and r = 5, exact, < 1 s", started)
@@ -119,7 +111,7 @@ def test_acceptance_04_failure_examples_cold_cache(tmp_path):
     for line in proc.stdout.splitlines():
         n, a, b, c = (int(x) for x in line.split())
         got[n] = (a, b, c)
-    assert got == {n: goldens.want(f"rank-level failure example {n}:") for n in (1, 2, 3)}
+    assert got == {n: want(f"rank-level failure example {n}:") for n in (1, 2, 3)}
     elapsed = time.monotonic() - started
     assert elapsed < 600, f"budget exceeded: {elapsed:.1f} s"
     announce(4, "failure examples (4,5), (3,4), (14,20), level-one blocks 1, cold cache", started)
@@ -160,12 +152,6 @@ def test_acceptance_06_littlewood_richardson_anchors():
 
 def test_acceptance_07_clifford_appendix_goldens():
     started = time.monotonic()
-
-    def ns_monomial(*pairs):
-        v = FockVector.unit(vacuum(NS))
-        for j, p in reversed(pairs):
-            v = clifford_apply((-1, j, p), v)
-        return v
 
     # single and cubed R-actions
     run_goldens("Clifford")

@@ -10,8 +10,10 @@ import pytest
 import thetablocks
 from thetablocks.cli import main
 from thetablocks.fusion import FusionTable
-from thetablocks.goldens import GOLDENS, want
+from thetablocks.goldens import GOLDENS
 from thetablocks.rootsys import Weight
+
+from reference import want
 
 
 @pytest.fixture(autouse=True)

@@ -10,34 +10,24 @@ from math import factorial
 
 import pytest
 
-from thetablocks.fock import (
-    NS,
-    BilinearOp,
-    PSI,
-    PSITILDE,
-    FockState,
-    FockVector,
-    QSqrt2,
-    SlotExpression,
-    UnreducibleError,
-    apply_LR,
-    clifford_apply,
-    evaluate_block,
-    psi_pair,
-    psitilde,
-    ranklevel_matrix,
-    spin_hwv,
-    spin_hwv_opposite,
-    vacuum,
-)
+from thetablocks.common import UnreducibleError
 from thetablocks.fock import operators
+from thetablocks.fock.blocks import PSI, PSITILDE, evaluate_block
+from thetablocks.fock.coeff import QSqrt2
+from thetablocks.fock.forms import psi_pair, psitilde
+from thetablocks.fock.hwv import spin_hwv, spin_hwv_opposite
+from thetablocks.fock.operators import BilinearOp, SlotExpression, apply_LR
 from thetablocks.fock.ranklevel import (
     _complement_matrix,
     _matrix_slots,
     _ns_vacuum_slot,
     _representative,
+    ranklevel_matrix,
 )
+from thetablocks.fock.states import NS, FockState, FockVector, clifford_apply
 from thetablocks.weights import YoungDiagram, young_diagrams
+
+from reference import apply_word, ns_monomial
 
 
 @pytest.fixture(autouse=True)
@@ -45,13 +35,6 @@ def _cold_matrix_memo():
     """Each test sees a cold matrix memo, so a work count does not depend on
     which test evaluated the same complement before it."""
     _complement_matrix.cache_clear()
-
-
-def ns_monomial(*pairs):
-    v = FockVector.unit(vacuum(NS))
-    for j, p in reversed(pairs):
-        v = clifford_apply((-1, j, p), v)
-    return v
 
 
 def lowered(v, *pairs):
@@ -91,6 +74,14 @@ def kacmoody_slot(v: FockVector) -> list:
             base = FockVector.unit(FockState(state.sector, (), state.dual))
         out.append((coeff, SlotExpression(tuple(word), base)))
     return out
+
+
+def combination_block(terms, v2: FockVector, v3: FockVector, form: str) -> QSqrt2:
+    """The block of sum c e (x) v2 (x) v3 over the (c, e) terms of a
+    kacmoody_slot rewrite, evaluated term by term: the block is linear in
+    its first slot."""
+    s2, s3 = SlotExpression((), v2), SlotExpression((), v3)
+    return sum((c * evaluate_block(e, s2, s3, form) for c, e in terms), QSqrt2(0))
 
 
 class TestForms:
@@ -137,7 +128,7 @@ class TestWorkedExamples:
         rv2 = ns_monomial((1, 1), (2, 1))
         for _ in range(2):
             rv2 = apply_LR(0, 1, 0, "R", rv2, r, s)
-        val = evaluate_block(kacmoody_slot(rv2), lowered(v, (1, 0), (2, 0)), vopp, PSI)
+        val = combination_block(kacmoody_slot(rv2), lowered(v, (1, 0), (2, 0)), vopp, PSI)
         assert val == QSqrt2(F(2))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -150,7 +141,7 @@ class TestWorkedExamples:
             cur = apply_LR(0, 1, 0, "R", cur, r, s)
         slot2 = lowered(vfull, *[(j, 0) for j in range(1, k + 1)])
         form = PSI if k % 2 == 0 else PSITILDE
-        val = evaluate_block(kacmoody_slot(cur), slot2, vopp, form)
+        val = combination_block(kacmoody_slot(cur), slot2, vopp, form)
         assert val == QSqrt2(F(factorial(k)))
 
     def test_ground_slots_reduce_to_forms(self):
@@ -314,7 +305,7 @@ class TestSlotMemo:
 
     def test_value_applies_the_word(self):
         _, _, _, _, _, tilde = _matrix_slots(YoungDiagram.parse("[2,1]"), 3, 3)
-        assert tilde.value() == operators.apply_word(tilde.ops, tilde.base)
+        assert tilde.value() == apply_word(tilde.ops, tilde.base)
         assert tilde.tail().ops == tilde.ops[1:] and tilde.tail().base is tilde.base
 
     def test_reused_slots_give_the_same_blocks_in_every_order(self):

@@ -6,26 +6,13 @@ from math import factorial
 
 import pytest
 
-from thetablocks.fock import (
-    INV_SQRT2,
-    NS,
-    BilinearOp,
-    FockState,
-    FockVector,
-    apply_LR,
-    apply_bilinear,
-    clifford_apply,
-    spin_hwv,
-    vacuum,
-)
+from thetablocks.fock.coeff import INV_SQRT2
+from thetablocks.fock.hwv import spin_hwv
+from thetablocks.fock.operators import BilinearOp, apply_LR, apply_bilinear
+from thetablocks.fock.states import NS, FockState, clifford_apply
 from thetablocks.weights import YoungDiagram
 
-
-def ns_monomial(*index_pairs):
-    v = FockVector.unit(vacuum(NS))
-    for j, p in reversed(index_pairs):
-        v = clifford_apply((-1, j, p), v)
-    return v
+from reference import ns_monomial
 
 
 def coeff_of(v, *index_pairs):

@@ -6,13 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from thetablocks.fock import (
-    apply_LR,
-    ns_column_hwv,
-    sigma_twist_hwv,
-    so_pair_hwv,
-    spin_hwv,
-)
+from thetablocks.fock.hwv import ns_column_hwv, sigma_twist_hwv, so_pair_hwv, spin_hwv
+from thetablocks.fock.operators import apply_LR
 from thetablocks.rootsys import Weight
 from thetablocks.weights import (
     sigma,

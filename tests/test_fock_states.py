@@ -4,25 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetablocks.fock import (
-    INV_SQRT2,
-    NS,
-    ONE,
-    R,
-    SQRT2,
-    ZERO,
-    BilinearOp,
-    FockState,
-    FockVector,
-    QSqrt2,
-    SectorError,
-    apply_bilinear,
-    clifford_apply,
-    vacuum,
-)
+from thetablocks.fock.coeff import INV_SQRT2, ONE, SQRT2, ZERO, QSqrt2
 from thetablocks.fock.forms import GroundStratumError, _ground_labels
 from thetablocks.fock.hwv import _wedge_vector
-from thetablocks.fock.states import clifford_state
+from thetablocks.fock.operators import BilinearOp, apply_bilinear
+from thetablocks.fock.states import (
+    NS,
+    R,
+    FockState,
+    FockVector,
+    SectorError,
+    clifford_apply,
+    clifford_state,
+    vacuum,
+)
 
 
 class TestQSqrt2:

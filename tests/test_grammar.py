@@ -2,16 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from thetablocks.fock import (
-    NS,
-    BilinearOp,
-    FockState,
-    FockVector,
-    QSqrt2,
-    clifford_apply,
-    spin_hwv,
-)
+from thetablocks.fock.coeff import QSqrt2
 from thetablocks.fock.grammar import GrammarError, evaluate, parse_expression
+from thetablocks.fock.hwv import spin_hwv
+from thetablocks.fock.operators import BilinearOp
+from thetablocks.fock.states import NS, FockState, FockVector, clifford_apply
 from thetablocks.weights import YoungDiagram
 
 

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetablocks.fock import BilinearOp, FockState, FockVector, NS, QSqrt2, apply_bilinear
 from thetablocks.fock.algebra import bracket, invariant_form
+from thetablocks.fock.coeff import QSqrt2
+from thetablocks.fock.operators import BilinearOp, apply_bilinear
+from thetablocks.fock.states import FockState, FockVector, NS
 from thetablocks.fusion import FusionTable
 from thetablocks.rootsys import _weight_multiplicities_dbl, dbl, fold_shifted, weyl_dim
 from thetablocks.weights import enumerate_level, sigma, star, young_diagrams

@@ -8,7 +8,13 @@ References inside the definition itself do not count, and neither do those
 inside other definitions that have no caller, so a chain of dead helpers
 fails as a whole.  Imports and `__all__` entries are not references, so a
 re-export in a package `__init__` does not keep a name alive.  A member is
-looked up by its own name, so any attribute of that name keeps it alive."""
+looked up by its own name, so any attribute of that name keeps it alive, and
+a helper that shares its name with a live member or field goes unseen here.
+
+A package `__init__` re-exports only what the program imports from the
+package: every name it imports must appear in a `from <package> import ...`
+(absolute or relative) in src/, scripts/ or perfbench/, other than in that
+`__init__` itself."""
 
 import ast
 from pathlib import Path
@@ -87,5 +93,50 @@ def uncalled():
         dead = new
 
 
+def _module(path: Path) -> str:
+    """Dotted module name of a file under src/; a package for `__init__`."""
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _from_module(node: ast.ImportFrom, path: Path) -> str:
+    """The absolute module a `from ... import` statement in `path` names."""
+    if not node.level:
+        return node.module
+    package = _module(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    base = package[: len(package) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def unimported_reexports():
+    """Each name a package `__init__` in src/thetablocks imports that no
+    other program file imports from that package, as "package:name"."""
+    taken = set()
+    for top in PROGRAM:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    module = _from_module(node, path)
+                    taken.update((module, alias.name) for alias in node.names)
+    out = []
+    for init in sorted((ROOT / "src" / "thetablocks").rglob("__init__.py")):
+        package = _module(init)
+        for node in ast.walk(ast.parse(init.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if (package, name) not in taken:
+                        out.append(f"{package}:{name}")
+    return out
+
+
 def test_every_definition_in_src_has_a_caller():
     assert [n for n in uncalled() if n not in CALLED_BY_LIBRARY] == []
+
+
+def test_package_inits_reexport_only_what_the_program_imports():
+    assert unimported_reexports() == []

@@ -5,7 +5,6 @@ import mpmath
 import pytest
 
 from thetablocks.fusion import FusionTable
-from thetablocks.goldens import want
 from thetablocks.rootsys import Weight
 from thetablocks.verlinde import (
     dim_trig,
@@ -16,6 +15,8 @@ from thetablocks.verlinde import (
     twisted_total,
 )
 from thetablocks.weights import enumerate_level
+
+from reference import want
 
 
 # the grid the trig S-matrix must keep symmetric and unitary to 1e-40 at the

@@ -3,7 +3,10 @@ from math import comb
 
 import pytest
 
+from thetablocks.branching import sewing_exponent
+from thetablocks.fusion import FusionTable, LevelOneTable
 from thetablocks.rootsys import Weight
+from thetablocks.verlinde import dim_trig
 from thetablocks.weights import (
     LevelError,
     YoungDiagram,
@@ -91,6 +94,52 @@ class TestSigma:
     def test_level_guard(self):
         with pytest.raises(LevelError):
             sigma(Weight.parse("3,0"), 2)
+
+
+def _in_slot(call, good: str, slot: int):
+    """call(*weights) with the bad weight in `slot` of three otherwise `good`."""
+    def admit(bad):
+        args = [Weight.parse(good)] * 3
+        args[slot] = bad
+        return call(*args)
+    return admit
+
+
+# (rank, level, admit): admit(w) hands w to an engine at that rank and level
+ADMITTING = {
+    **{f"FusionTable.triple:{i}": (2, 3, _in_slot(FusionTable(2, 3).triple, "1,0", i))
+       for i in range(3)},
+    **{f"LevelOneTable.triple:{i}": (2, 1, _in_slot(LevelOneTable(2).triple, "0,0", i))
+       for i in range(3)},
+    "dim_trig": (2, 3, lambda w: dim_trig(0, [w], 2, 3)),
+    "sewing_exponent:lam": (
+        2, 7, lambda w: sewing_exponent(w, Weight.parse("1,0,0"), "1", 2, 3)),
+    "sewing_exponent:mu": (
+        3, 5, lambda w: sewing_exponent(Weight.parse("1,0"), w, "1", 2, 3)),
+}
+
+
+class TestOneAdmissionRule:
+    """Every engine admits a weight by weights.check_weight: a weight of
+    another rank raises the rank ValueError, even when it is also above the
+    level, and a weight of the right rank above the level raises LevelError."""
+
+    @pytest.mark.parametrize("engine", sorted(ADMITTING))
+    @pytest.mark.parametrize("top", ["1", "9"])
+    def test_wrong_rank_names_the_rank(self, engine, top):
+        r, _, admit = ADMITTING[engine]
+        bad = Weight.parse(",".join([top] + ["0"] * r))  # rank r + 1
+        message = f"^{bad} has rank {r + 1}, expected rank {r}$"
+        with pytest.raises(ValueError, match=message) as exc:
+            admit(bad)
+        assert type(exc.value) is ValueError
+
+    @pytest.mark.parametrize("engine", sorted(ADMITTING))
+    def test_above_the_level_is_level_error(self, engine):
+        r, ell, admit = ADMITTING[engine]
+        bad = Weight.parse(",".join([str(ell + 1)] + ["0"] * (r - 1)))
+        with pytest.raises(LevelError, match=f"^{bad} is above level {ell}$"):
+            admit(bad)
 
 
 class TestYoungCalculus:
