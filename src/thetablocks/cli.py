@@ -305,7 +305,8 @@ def _usage_error(msg: str) -> SystemExit:
 
 
 def _precision(text: str) -> int:
-    """--precision: decimal digits for the trig engine, at least 1."""
+    """--precision: the least working precision of the trig engine, in decimal
+    digits, at least 1; the engine raises it to hold its magnitude bound."""
     try:
         dps = int(text)
     except ValueError:

@@ -1,69 +1,257 @@
-"""High-precision trigonometric Verlinde oracle for so(2r+1) at level ell.
+"""High-precision trigonometric Verlinde oracle for so(2r+1) at level ell,
+with every integer it returns certified exactly modulo primes.
 
-The S-matrix is built from the signed-permutation sum, which factorizes as a
-determinant of sines:
+With k = ell + 2r - 1 and X = 2(lam+rho), Y = 2(mu+rho) as doubled ints, the
+signed-permutation sum of the S-matrix factorizes as a determinant of sines,
 
-    S_{lam,mu} = c * det[ sin(2 pi x_i y_j / k) ],   x = lam+rho, y = mu+rho,
+    S_{lam,mu} = c * det[ sin(2 pi m_ij / 4k) ],   m_ij = X_i Y_j mod 4k,
 
-with k = ell + 2r - 1 and c > 0 fixed by unitarity of the first row.  The
+so every entry reads its r^2 sines from one table of 4k values.  The sines
+are held as fixed-point ints, the determinant is expanded exactly over its r!
+permutations (no pivoting, so a vanishing S_{lam,mu} is just a zero), and
+c = +-1/|row 0| is fixed by the vacuum row.  A row is built when a sum first
+asks for it.
+
+The working precision comes from an integer bound on the answer, and the
+rounded integer is checked against its exact residues modulo primes
+p = 1 (mod 4k).  Over F_p the sine determinant becomes
+E_{lam,mu} = det[z^m - z^-m] for a primitive 4k-th root of unity z, which is
+(2i)^r times the sine determinant, and the Verlinde number is
+
+    N = (sum_mu E_{0mu}^2)^(g-1) * sum_mu E_{0mu}^(2-2g-n) prod_i E_{lam_i mu},
+
+the normalization and its sign entering only squared.  This is an identity
+in Z[zeta_4k, 1/2] (Kac-Peterson, Adv. Math. 53, 1984; Coste-Gannon, Phys.
+Lett. B 323, 1994), so it holds under every ring map to F_p.  The
 Oxbury-Wilson sums over SO-weights and the theta-characteristic counts live
-here too; every sum must round to an integer within DEFAULT_TOL.
+here too.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 import mpmath
 
 from .common import DEFAULT_DPS
-from .rootsys import Weight, _dbl_positive_roots, _dbl_rho, dbl, require_rank
+from .rootsys import Weight, _dbl_positive_roots, _dbl_rho, dbl, require_rank, weyl_dim
 from .weights import check_weight, enumerate_level, sigma
 
 DEFAULT_TOL = 1e-6
+GUARD_DIGITS = 15  # working digits beyond those of the magnitude bound
+SINE_GUARD_BITS = 64  # fixed-point bits of the sine table beyond the working ones
+PRIME_TOP = 2 ** 61  # the residue primes are the largest ones below this
+# Miller-Rabin with these bases is deterministic below 3.3e24
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class PrecisionError(ArithmeticError):
-    """A trig sum failed to round to an integer within tolerance."""
+    """A trig sum failed to round to an integer within tolerance, or the
+    integer disagrees with its exact residues."""
 
 
-@dataclass(frozen=True)
-class SMatrix:
-    rank: int
-    level: int
-    weights: tuple[Weight, ...]
-    entries: tuple  # tuple of tuples of mpf
-    dps: int
+# -- rows of determinants read from one table of 4k values --------------------
+
+@lru_cache(maxsize=None)
+def _leibniz_terms(r: int) -> tuple:
+    """(sign, permutation) for each of the r! permutations of range(r)."""
+    out = []
+    for perm in itertools.permutations(range(r)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(r), 2))
+        out.append(((-1) ** inversions, perm))
+    return tuple(out)
+
+
+def _det(a):
+    """det a by the Leibniz expansion: no pivoting, exact on ints."""
+    total = 0
+    for sign, perm in _leibniz_terms(len(a)):
+        term = a[0][perm[0]]
+        for i in range(1, len(a)):
+            term *= a[i][perm[i]]
+        total = total + term if sign > 0 else total - term
+    return total
+
+
+class _Dets:
+    """det[t[X_i Y_j mod 4k]] over the level-ell weights of so(2r+1), for one
+    table t of 4k values; `row(w)` builds the row of w once and keeps it."""
+
+    def __init__(self, r: int, ell: int, table):
+        self.weights = enumerate_level(r, ell)
+        rho = _dbl_rho(r)
+        self._shifted = {w: tuple(c + p for c, p in zip(dbl(w.coords), rho))
+                         for w in self.weights}
+        self._table = table
+        self._rows = {}
+
+    def _raw_row(self, w: Weight) -> list:
+        t, q = self._table, len(self._table)
+        # every coordinate of Y = 2(mu+rho) lies below 4k
+        lines = [[t[a * b % q] for b in range(q)] for a in self._shifted[w]]
+        return [_det([[line[b] for b in y] for line in lines])
+                for y in self._shifted.values()]
+
+    def row(self, w: Weight) -> tuple:
+        row = self._rows.get(w)
+        if row is None:
+            row = self._rows[w] = self._finished(self._raw_row(w))
+        return row
+
+
+class SMatrix(_Dets):
+    """The S-matrix of so(2r+1) at level ell and dps digits, a row at a time:
+    c * det[sin(2 pi m_ij / 4k)] with c = +-1/|row 0| from the vacuum row.
+    The sines are held as ints scaled by 2^B, B being the working precision
+    in bits plus SINE_GUARD_BITS, so the determinants are exact ints and the
+    scale drops out of c."""
+
+    def __init__(self, r: int, ell: int, dps: int):
+        self.rank, self.level, self.dps = r, ell, dps
+        q = 4 * (ell + 2 * r - 1)
+        with mpmath.workdps(dps):
+            bits = mpmath.mp.prec + SINE_GUARD_BITS
+            with mpmath.workprec(bits + SINE_GUARD_BITS):
+                table = [int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(mpmath.mpf(2 * m) / q), bits)))
+                         for m in range(q)]
+            super().__init__(r, ell, table)
+            vacuum = self.weights[0]
+            raw = self._raw_row(vacuum)
+            c = 1 / mpmath.sqrt(sum(v * v for v in raw))
+            self._c = c if raw[0] > 0 else -c
+            self._rows[vacuum] = self._finished(raw)
+
+    def row(self, w: Weight) -> tuple:
+        with mpmath.workdps(self.dps):
+            return super().row(w)
+
+    def _finished(self, dets: list) -> tuple:
+        return tuple(self._c * v for v in dets)
 
 
 @lru_cache(maxsize=None)
 def s_matrix(r: int, ell: int, dps: int = DEFAULT_DPS) -> SMatrix:
     require_rank(r)
-    ws = enumerate_level(r, ell)
-    rho = _dbl_rho(r)
-    k = ell + 2 * r - 1
-    with mpmath.workdps(dps):
-        # x = lam + rho, halved from doubled ints (exact in binary)
-        shifted = [[mpmath.mpf(c + p) / 2 for c, p in zip(dbl(w.coords), rho)]
-                   for w in ws]
-        two_pi_over_k = 2 * mpmath.pi / k
-        raw = []
-        for x in shifted:
-            row = []
-            for y in shifted:
-                m = mpmath.matrix(r)
-                for i in range(r):
-                    for j in range(r):
-                        m[i, j] = mpmath.sin(two_pi_over_k * x[i] * y[j])
-                row.append(mpmath.det(m))
-            raw.append(row)
-        norm = mpmath.sqrt(mpmath.fsum(v ** 2 for v in raw[0]))
-        c = 1 / norm
-        if raw[0][0] < 0:
-            c = -c
-        entries = tuple(tuple(c * v for v in row) for row in raw)
-    return SMatrix(r, ell, ws, entries, dps)
+    return SMatrix(r, ell, dps)
+
+
+# -- exact residues modulo primes p = 1 (mod 4k) ------------------------------
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin (exact below 3.3e24)."""
+    if n < 2:
+        return False
+    for b in MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_below(q: int, top: int) -> int:
+    """The largest prime p < top with p = 1 (mod q)."""
+    p = (top - 2) // q * q + 1
+    while not _is_prime(p):
+        p -= q
+    return p
+
+
+def _root_of_unity(q: int, p: int) -> int:
+    """A primitive q-th root of unity mod the prime p = 1 (mod q)."""
+    factors = {f for f in range(2, q + 1) if q % f == 0 and _is_prime(f)}
+    for a in itertools.count(2):
+        z = pow(a, (p - 1) // q, p)
+        if all(pow(z, q // f, p) != 1 for f in factors):
+            return z
+
+
+class _Residues(_Dets):
+    """E_{lam,mu} = det[z^m - z^-m] mod p, a row at a time, and
+    sum_mu E_{0mu}^2 mod p."""
+
+    def __init__(self, r: int, ell: int, p: int):
+        self.p = p
+        q = 4 * (ell + 2 * r - 1)
+        powers = [pow(_root_of_unity(q, p), m, p) for m in range(q)]
+        super().__init__(r, ell, [powers[m] - powers[-m % q] for m in range(q)])
+        self.vacuum = self.row(self.weights[0])
+        self.norm = sum(e * e for e in self.vacuum) % p
+
+    def _finished(self, dets: list) -> tuple:
+        return tuple(v % self.p for v in dets)
+
+
+@lru_cache(maxsize=None)
+def _residues(r: int, ell: int, p: int) -> _Residues:
+    return _Residues(r, ell, p)
+
+
+def certificate_primes(r: int, ell: int, bound: int) -> list[int]:
+    """The primes p = 1 (mod 4k) below PRIME_TOP, largest first, that
+    certify an integer of absolute value at most bound: their product
+    exceeds 2 * bound.  A prime where sum_mu E_{0mu}^2 or some E_{0mu}
+    vanishes is skipped."""
+    q = 4 * (ell + 2 * r - 1)
+    primes, modulus, p = [], 1, PRIME_TOP
+    while modulus <= 2 * bound:
+        p = _prime_below(q, p)
+        res = _residues(r, ell, p)
+        if res.norm and all(res.vacuum):
+            primes.append(p)
+            modulus *= p
+    return primes
+
+
+def _certified(n: int, bound: int, r: int, ell: int, residue) -> int:
+    """n, once it lies within the bound and equals residue(E, p) modulo each
+    certificate prime p, E being the residue rows mod p; else PrecisionError."""
+    if abs(n) > bound:
+        raise PrecisionError(f"trig value {n} exceeds the bound {bound}")
+    for p in certificate_primes(r, ell, bound):
+        if residue(_residues(r, ell, p), p) != n % p:
+            raise PrecisionError(f"trig value {n} disagrees with its exact "
+                                 f"residue modulo the prime {p}")
+    return n
+
+
+# -- precision from an integer magnitude bound --------------------------------
+
+@lru_cache(maxsize=None)
+def _dim_square_sum(r: int, ell: int) -> int:
+    return sum(weyl_dim(dbl(w.coords)) ** 2 for w in enumerate_level(r, ell))
+
+
+def magnitude_bound(g: int, lams, r: int, ell: int) -> int:
+    """An integer bound on |N_g(lams)|, and on the sum of the absolute values
+    of its Verlinde terms: prod_i dim V_lam_i at g = 0, and
+    |P| * (sum_mu dim V_mu^2)^(g-1) * prod_i dim V_lam_i for g >= 1, since
+    qdim <= dim, S_{0mu} >= S_00 and |S_{lam,mu} / S_{0mu}| <= qdim_lam."""
+    out = prod(weyl_dim(dbl(w.coords)) for w in lams)
+    if g >= 1:
+        out *= len(enumerate_level(r, ell)) * _dim_square_sum(r, ell) ** (g - 1)
+    return out
+
+
+def _working_dps(dps: int, bound: int) -> int:
+    """The caller's dps, raised to hold every digit of the bound and
+    GUARD_DIGITS more."""
+    return max(dps, len(str(bound)) + GUARD_DIGITS)
 
 
 def _round_checked(value) -> int:
@@ -76,23 +264,36 @@ def _round_checked(value) -> int:
 
 
 def dim_trig(g: int, lams, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
-    """Verlinde dimension sum(mu) S_{0mu}^{2-2g-n} prod_i S_{lam_i,mu}."""
+    """Verlinde dimension sum(mu) S_{0mu}^{2-2g-n} prod_i S_{lam_i,mu}, at no
+    fewer than dps digits, certified modulo primes."""
     if g < 0:
         raise ValueError("genus must be >= 0")
     lams = list(lams)
     for w in lams:
         check_weight(w, r, ell)
-    sm = s_matrix(r, ell, dps)
-    index = {w: i for i, w in enumerate(sm.weights)}
-    rows = [sm.entries[index[w]] for w in lams]
-    vacuum = sm.entries[0]
+    bound = magnitude_bound(g, lams, r, ell)
+    sm = s_matrix(r, ell, _working_dps(dps, bound))
+    vacuum = sm.row(sm.weights[0])
+    rows = [sm.row(w) for w in lams]
     power = 2 - 2 * g - len(lams)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(sm.dps):
         total = mpmath.fsum(
             (vacuum[j] ** power) * mpmath.fprod(row[j] for row in rows)
             for j in range(len(sm.weights))
         )
-        return _round_checked(total)
+        n = _round_checked(total)
+
+    def residue(res, p):
+        e_rows = [res.row(w) for w in lams]
+        total = 0
+        for j, e in enumerate(res.vacuum):
+            term = pow(e, power, p)
+            for row in e_rows:
+                term = term * row[j] % p
+            total += term
+        return pow(res.norm, g - 1, p) * total % p
+
+    return _certified(n, bound, r, ell, residue)
 
 
 def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
@@ -101,7 +302,9 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     N_g^0 = (4 k^r)^(g-1) * sum over SO-weights mu of
             prod over positive roots (2 sin(pi (mu+rho, alpha) / k))^(2-2g)
 
-    with k = ell + 2r - 1.
+    with k = ell + 2r - 1, at no fewer than dps digits.  It equals
+    sum over SO-weights mu of S_{0mu}^(2-2g), and is certified modulo primes
+    as (sum_mu E_{0mu}^2)^(g-1) * sum over SO-weights mu of E_{0mu}^(2-2g).
     """
     require_rank(r)
     if g < 1:
@@ -109,7 +312,8 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     rho, roots = _dbl_rho(r), _dbl_positive_roots(r)
     k = ell + 2 * r - 1
     so_weights = [w for w in enumerate_level(r, ell) if w.is_so]
-    with mpmath.workdps(dps):
+    bound = magnitude_bound(g, [], r, ell)
+    with mpmath.workdps(_working_dps(dps, bound)):
         pi_over_k = mpmath.pi / k
         total = mpmath.mpf(0)
         for mu in so_weights:
@@ -122,7 +326,14 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
                 for alpha in roots
             )
         total *= (4 * mpmath.mpf(k) ** r) ** (g - 1)
-        return _round_checked(total)
+        n = _round_checked(total)
+
+    def residue(res, p):
+        total = sum(pow(e, 2 - 2 * g, p)
+                    for w, e in zip(res.weights, res.vacuum) if w.is_so)
+        return pow(res.norm, g - 1, p) * total % p
+
+    return _certified(n, bound, r, ell, residue)
 
 
 def twisted_total(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:

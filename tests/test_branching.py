@@ -114,6 +114,14 @@ class TestSewing:
         with pytest.raises(BranchingError, match=f"is {m}, not a nonnegative"):
             sewing_exponent(lam, mu, "0", 2, 2)
 
+    def test_rejects_a_negative_integer_exponent(self):
+        # both weights are in range and the exponent is an integer, so only
+        # its sign makes this no branching pair
+        lam, mu = Weight.parse("1/2,1/2"), Weight.parse("5/2,1/2,1/2")
+        assert _ref_sewing(lam, mu, "d", 2, 3) == -1
+        with pytest.raises(BranchingError, match="is -1, not a nonnegative"):
+            sewing_exponent(lam, mu, "d", 2, 3)
+
     def test_rejects_weights_of_another_rank(self):
         # (r, s) = (2, 3): lam must have rank 2 and mu rank 3
         for lam, mu, message in (

@@ -53,6 +53,19 @@ class TestSubcommands:
         assert blob["outputs"]["N"] == 1
         assert blob["engine"] == "fusion+trig"
 
+    def test_oxbury_genus14_equality_holds(self, capsys):
+        rc, out = run(capsys, "oxbury", "--genus", "14", "--r", "3", "--s", "2")
+        assert rc == 0
+        assert "equal   : True" in out.splitlines()
+
+    def test_dim_both_on_so7_level9(self, capsys):
+        # the trig S-matrix of this ring crashed in mpmath.det
+        rc, out = run(capsys, "dim", "--genus", "0", "--rank", "3", "--level", "9",
+                      "--method", "both")
+        assert rc == 0
+        for line in ("dim     : 1", "dim_exact: 1", "dim_trig: 1"):
+            assert line in out.splitlines()
+
     def test_ranklevel_examples(self, capsys):
         for n in (1, 2, 3):
             rc, blob = run_json(capsys, "ranklevel", "--example", str(n))

@@ -339,6 +339,7 @@ class TestCache:
             "1,0|1,0|9,9|1",  # weight above the level
             "1,0|1,0|1,0,0|1",  # weight of another rank
             "1,0|1,0|0,0|1.5",  # non-integer count
+            "1,0|1,0|0,0|-1",  # negative count
         ],
     )
     def test_bad_line_ignores_the_file(self, tmp_path, caplog, bad_line):

@@ -1,13 +1,22 @@
+import copy
 import itertools
 from fractions import Fraction
+from math import prod
 
 import mpmath
 import pytest
 
+from thetablocks import verlinde
 from thetablocks.fusion import FusionTable
 from thetablocks.rootsys import Weight
 from thetablocks.verlinde import (
+    PrecisionError,
+    SMatrix,
+    _prime_below,
+    _round_checked,
+    certificate_primes,
     dim_trig,
+    magnitude_bound,
     n0_oxbury,
     oxbury_check,
     s_matrix,
@@ -24,34 +33,58 @@ from reference import want
 S_GRID = [(2, ell) for ell in range(1, 6)] + [(3, ell) for ell in range(1, 4)]
 
 
+def _rows(sm):
+    return [sm.row(w) for w in sm.weights]
+
+
 class TestSMatrix:
     @pytest.mark.parametrize("r,ell", S_GRID)
     def test_symmetric_unitary_positive(self, r, ell):
         sm = s_matrix(r, ell)
         assert sm.dps == 50
         n = len(sm.weights)
+        rows = _rows(sm)
         with mpmath.workdps(sm.dps):
             tol = mpmath.mpf(10) ** (-sm.dps + 10)
             for i in range(n):
-                assert sm.entries[0][i] > 0
+                assert rows[0][i] > 0
                 for j in range(n):
-                    assert abs(sm.entries[i][j] - sm.entries[j][i]) < tol
-                    dot = mpmath.fsum(
-                        sm.entries[i][k] * sm.entries[j][k] for k in range(n)
-                    )
+                    assert abs(rows[i][j] - rows[j][i]) < tol
+                    dot = mpmath.fsum(rows[i][k] * rows[j][k] for k in range(n))
                     assert abs(dot - (1 if i == j else 0)) < tol
 
     def test_s_squared_is_identity(self):
         # charge conjugation is trivial for B_r, so S^2 = 1 within tolerance
         sm = s_matrix(2, 3)
         n = len(sm.weights)
+        rows = _rows(sm)
         with mpmath.workdps(sm.dps):
             tol = mpmath.mpf(10) ** (-sm.dps + 10)
             for i in range(n):
                 for j in range(n):
-                    dot = mpmath.fsum(
-                        sm.entries[i][k] * sm.entries[k][j] for k in range(n)
-                    )
+                    dot = mpmath.fsum(rows[i][k] * rows[k][j] for k in range(n))
+                    assert abs(dot - (1 if i == j else 0)) < tol
+
+    def test_rows_are_built_on_demand(self):
+        sm = SMatrix(3, 9, 50)
+        assert list(sm._rows) == [sm.weights[0]]
+        w = sm.weights[7]
+        assert sm.row(w) is sm.row(w)
+        assert list(sm._rows) == [sm.weights[0], w]
+
+    def test_so7_level9_rows_are_unitary(self):
+        # mpmath.det crashed on this ring: rows 1, 17, 64 and 124 hold
+        # vanishing entries
+        sm = s_matrix(3, 9)
+        assert len(sm.weights) == 125
+        picked = [sm.weights[i] for i in (0, 1, 17, 64, 124)]
+        with mpmath.workdps(sm.dps):
+            tol = mpmath.mpf(10) ** -40
+            for i, a in enumerate(picked):
+                for j, b in enumerate(picked):
+                    assert abs(sm.row(a)[sm.weights.index(b)]
+                               - sm.row(b)[sm.weights.index(a)]) < tol
+                    dot = mpmath.fsum(x * y for x, y in zip(sm.row(a), sm.row(b)))
                     assert abs(dot - (1 if i == j else 0)) < tol
 
 
@@ -72,15 +105,10 @@ class TestDimTrig:
     def test_genus_three_at_default_precision(self):
         assert dim_trig(3, [], 2, 3) == 16864
 
-    # ROADMAP item 2 pins: each returns a wrong integer today, with no
-    # PrecisionError; the fix turns them into plain tests
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="item 2(c): dps=1 rounds to 16384")
+    # dps is a floor: the working precision follows the magnitude bound
     def test_genus_three_at_one_digit(self):
         assert dim_trig(3, [], 2, 3, dps=1) == 16864
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="item 2(b): the residual check misses errors above 10^dps")
     def test_so7_level5_genus14_vacuum(self):
         # the exact value of perfbench op c:B3L5:g14
         assert dim_trig(14, [], 3, 5) == (
@@ -93,6 +121,79 @@ class TestDimTrig:
             FusionTable(2, 3).dim_genus_g(-1, lams)
         with pytest.raises(ValueError, match="genus must be >= 0"):
             dim_trig(-1, lams, 2, 3)
+
+
+# the rings where mpmath.det crashed on a vanishing S entry
+CRASH_RINGS = [(3, 9), (3, 10), (4, 7), (4, 8), (4, 11)]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("r,ell", CRASH_RINGS)
+    def test_crash_rings_sum_to_one_at_genus_zero(self, r, ell):
+        assert dim_trig(0, [], r, ell) == 1
+
+    def test_rounding_refuses_a_residual_of_1e_4(self):
+        with mpmath.workdps(50):
+            assert _round_checked(mpmath.mpf(5) + mpmath.mpf("1e-9")) == 5
+            with pytest.raises(PrecisionError, match="rounding residual"):
+                _round_checked(mpmath.mpf(5) + mpmath.mpf("1e-4"))
+            with pytest.raises(PrecisionError, match="rounding residual"):
+                _round_checked(mpmath.mpf(5) - mpmath.mpf("1e-4"))
+
+    def test_an_off_by_one_rounding_is_refused(self, monkeypatch):
+        # 16863 passes every float check once rounding is forced
+        monkeypatch.setattr(verlinde, "_round_checked", lambda value: 16863)
+        with pytest.raises(PrecisionError, match="residue modulo the prime"):
+            dim_trig(3, [], 2, 3)
+
+    def test_an_off_by_one_oxbury_sum_is_refused(self, monkeypatch):
+        true = n0_oxbury(2, 2, 3)
+        monkeypatch.setattr(verlinde, "_round_checked", lambda value: true + 1)
+        with pytest.raises(PrecisionError, match="residue modulo the prime"):
+            n0_oxbury(2, 2, 3)
+
+    def test_a_value_beyond_the_bound_is_refused(self, monkeypatch):
+        bound = magnitude_bound(3, [], 2, 3)
+        monkeypatch.setattr(verlinde, "_round_checked", lambda value: bound + 1)
+        with pytest.raises(PrecisionError, match="exceeds the bound"):
+            dim_trig(3, [], 2, 3)
+
+    @pytest.mark.parametrize("g,lams,r,ell", [
+        (0, [], 2, 3), (3, [], 2, 3), (0, ["1/2,1/2"] * 3, 2, 3), (16, [], 3, 5),
+    ])
+    def test_primes_cover_twice_the_bound(self, g, lams, r, ell):
+        q = 4 * (ell + 2 * r - 1)
+        bound = magnitude_bound(g, [Weight.parse(w) for w in lams], r, ell)
+        primes = certificate_primes(r, ell, bound)
+        assert all(p % q == 1 and p < 2 ** 61 for p in primes)
+        assert primes == sorted(set(primes), reverse=True)
+        # the fewest primes: dropping the last leaves the product too small
+        assert prod(primes[:-1]) <= 2 * bound < prod(primes)
+        assert all(pow(3, p - 1, p) == 1 for p in primes)
+
+    def test_a_prime_with_a_vanishing_vacuum_entry_is_skipped(self, monkeypatch):
+        first = _prime_below(24, 2 ** 61)  # so(5) level 3: 4k = 24
+        real = verlinde._residues
+
+        def residues(r, ell, p):
+            res = real(r, ell, p)
+            if p == first:
+                res = copy.copy(res)
+                res.vacuum = (0,) + res.vacuum[1:]
+            return res
+
+        monkeypatch.setattr(verlinde, "_residues", residues)
+        primes = certificate_primes(2, 3, magnitude_bound(3, [], 2, 3))
+        assert first not in primes
+        assert primes[0] == _prime_below(24, first)
+        assert dim_trig(3, [], 2, 3) == 16864
+
+    def test_genus14_oxbury_sums_are_exact(self):
+        # the trig sums read ...9999856 and ...9999472 before the certificate
+        want_n0 = 8822744214291785506549208294720000000000000000000000
+        assert n0_oxbury(14, 3, 5) == want_n0
+        assert n0_oxbury(14, 2, 7) == want_n0
+        assert oxbury_check(14, 3, 2).equal
 
 
 class TestOxbury:
