@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fusion import FusionTable, LevelOneTable
-from .rootsys import Weight, _dbl_rho, dbl, require_rank
+from .rootsys import Weight, _dbl_rho, require_rank
 from .weights import (
     check_level,
     check_weight,
@@ -51,7 +51,7 @@ def _anomaly(lam: Weight, ell: int) -> tuple[int, int]:
     check_level(lam, ell)
     r = lam.rank
     num = 0
-    for x, p in zip(dbl(lam.coords), _dbl_rho(r)):
+    for x, p in zip(lam.d, _dbl_rho(r)):
         num += x * (x + 2 * p)
     return num, 8 * (2 * r - 1 + ell)
 

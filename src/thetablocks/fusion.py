@@ -24,7 +24,6 @@ from .rootsys import (
     Weight,
     _dbl_rho,
     _weight_multiplicities_dbl,
-    dbl,
     fold_shifted,
     require_rank,
     weyl_dim,
@@ -178,9 +177,8 @@ class FusionTable(FusionRing):
     def __init__(self, r: int, ell: int, cache_dir: str | None = None):
         super().__init__(r, ell)
         self.cache_dir = cache_dir
-        # doubled coordinates <-> Weight, for every weight of the table
-        self._weight_of = {dbl(w.coords): w for w in self.weights()}
-        self._dbl_of = {w: d for d, w in self._weight_of.items()}
+        # doubled coordinates -> Weight, for every weight of the table
+        self._weight_of = {w.d: w for w in self.weights()}
         self._products: dict[tuple, dict] = {}
         if cache_dir:
             self._load()
@@ -191,7 +189,7 @@ class FusionTable(FusionRing):
     def product(self, lam: Weight, mu: Weight) -> dict[Weight, int]:
         check_weight(lam, self.rank, self.level)
         check_weight(mu, self.rank, self.level)
-        a, b = self._dbl_of[lam], self._dbl_of[mu]
+        a, b = lam.d, mu.d
         key = (a, b) if a <= b else (b, a)
         row = self._products.get(key)
         if row is None:
@@ -234,7 +232,7 @@ class FusionTable(FusionRing):
         def parse(text):
             d = parsed.get(text)
             if d is None:
-                d = dbl(Weight.parse(text).coords)
+                d = Weight.parse(text).d
                 if d not in weight_of:
                     raise ValueError(f"{text} is not a weight of this table")
                 parsed[text] = d

@@ -7,7 +7,9 @@ theta = L1 + L2; in L-coordinates it is the plain dot product.
 
 The root data, the Weyl dimension and every routine below `Weight` work on
 "doubled" coordinates (tuples of ints equal to twice the L-coordinates), so
-they stay in integer arithmetic; `Weight` is the Fraction boundary.
+they stay in integer arithmetic.  `Weight` is the Fraction boundary: it
+validates its coordinates on their doubled ints and carries them as `w.d`,
+which is what the engines read; `Weight.from_dbl` builds one from them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-HALF = Fraction(1, 2)
+# the L-coordinates 0, 1/2, ..., 31 + 1/2, shared by the weights built from
+# doubled ints (fresh Fractions for each weight cost memory, not time)
+_HALVES = tuple(Fraction(x, 2) for x in range(64))
 
 
 class RankError(ValueError):
@@ -35,7 +39,8 @@ def require_rank(r: int, name: str = "r") -> None:
 
 @dataclass(frozen=True, order=True)
 class Weight:
-    """A dominant weight of so(2r+1) in L-coordinates."""
+    """A dominant weight of so(2r+1) in L-coordinates; `d` holds the doubled
+    coordinates (ints), set once the coordinates pass validation."""
 
     coords: tuple[Fraction, ...]
 
@@ -43,13 +48,16 @@ class Weight:
         cs = self.coords
         if len(cs) < 2:
             require_rank(len(cs))
-        if any(c < 0 for c in cs):
+        # floor(2c): exact for integral and half-odd c, and it keeps the sign
+        # and the weak order of any rational c
+        d = tuple(2 * c.numerator // c.denominator for c in cs)
+        if min(d) < 0:
             raise ValueError(f"not dominant (negative coordinate): {cs}")
-        if any(cs[i] < cs[i + 1] for i in range(len(cs) - 1)):
+        if any(d[i] < d[i + 1] for i in range(len(d) - 1)):
             raise ValueError(f"not dominant (coordinates increase): {cs}")
-        pars = {c.denominator for c in cs}
-        if not pars <= {1, 2} or len(pars) > 1:
+        if any(c.denominator > 2 for c in cs) or len({x & 1 for x in d}) > 1:
             raise ValueError(f"coordinates must be all integral or all half-odd: {cs}")
+        object.__setattr__(self, "d", d)
 
     def __hash__(self) -> int:
         # weights key every fusion row, and Fraction hashing is slow: hash
@@ -72,11 +80,17 @@ class Weight:
     @property
     def is_so(self) -> bool:
         """True iff every coordinate is integral (exponentiates to SO(2r+1))."""
-        return self.coords[0].denominator == 1
+        return not self.d[0] & 1
+
+    @classmethod
+    def from_dbl(cls, d) -> "Weight":
+        """The weight with doubled coordinates d, validated like any other."""
+        halves = _HALVES
+        return cls(tuple(halves[x] if 0 <= x < len(halves) else Fraction(x, 2) for x in d))
 
     @classmethod
     def zero(cls, r: int) -> "Weight":
-        return cls((Fraction(0),) * r)
+        return cls.from_dbl((0,) * r)
 
     @classmethod
     def fundamental(cls, r: int, i: int) -> "Weight":
@@ -85,10 +99,10 @@ class Weight:
         if i == 0:
             return cls.zero(r)
         if i == r:
-            return cls((HALF,) * r)
+            return cls.from_dbl((1,) * r)
         if not 0 < i < r:
             raise ValueError(f"fundamental weight index {i} out of range for rank {r}")
-        return cls(tuple(Fraction(1) if k < i else Fraction(0) for k in range(r)))
+        return cls.from_dbl(tuple(2 if k < i else 0 for k in range(r)))
 
     @classmethod
     def parse(cls, text: str) -> "Weight":
@@ -100,14 +114,6 @@ class Weight:
 
 
 # -- doubled-coordinate root data (ints equal to 2*L-coordinate) ------------
-
-def dbl(coords) -> tuple[int, ...]:
-    out = []
-    for c in coords:
-        f = Fraction(c)
-        out.append(int(2 * f))
-    return tuple(out)
-
 
 @lru_cache(maxsize=None)
 def _dbl_rho(r: int) -> tuple[int, ...]:

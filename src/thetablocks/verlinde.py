@@ -37,7 +37,7 @@ from math import prod
 import mpmath
 
 from .common import DEFAULT_DPS
-from .rootsys import Weight, _dbl_positive_roots, _dbl_rho, dbl, require_rank, weyl_dim
+from .rootsys import Weight, _dbl_positive_roots, _dbl_rho, require_rank, weyl_dim
 from .weights import check_weight, enumerate_level, sigma
 
 DEFAULT_TOL = 1e-6
@@ -65,6 +65,13 @@ def _leibniz_terms(r: int) -> tuple:
     return tuple(out)
 
 
+def _sine_table(q: int, bits: int) -> list:
+    """sin(2 pi m / q) for 0 <= m < q, as ints scaled by 2^bits."""
+    with mpmath.workprec(bits + SINE_GUARD_BITS):
+        return [int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(mpmath.mpf(2 * m) / q), bits)))
+                for m in range(q)]
+
+
 def _det(a):
     """det a by the Leibniz expansion: no pivoting, exact on ints."""
     total = 0
@@ -83,7 +90,7 @@ class _Dets:
     def __init__(self, r: int, ell: int, table):
         self.weights = enumerate_level(r, ell)
         rho = _dbl_rho(r)
-        self._shifted = {w: tuple(c + p for c, p in zip(dbl(w.coords), rho))
+        self._shifted = {w: tuple(c + p for c, p in zip(w.d, rho))
                          for w in self.weights}
         self._table = table
         self._rows = {}
@@ -113,11 +120,7 @@ class SMatrix(_Dets):
         self.rank, self.level, self.dps = r, ell, dps
         q = 4 * (ell + 2 * r - 1)
         with mpmath.workdps(dps):
-            bits = mpmath.mp.prec + SINE_GUARD_BITS
-            with mpmath.workprec(bits + SINE_GUARD_BITS):
-                table = [int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(mpmath.mpf(2 * m) / q), bits)))
-                         for m in range(q)]
-            super().__init__(r, ell, table)
+            super().__init__(r, ell, _sine_table(q, mpmath.mp.prec + SINE_GUARD_BITS))
             vacuum = self.weights[0]
             raw = self._raw_row(vacuum)
             c = 1 / mpmath.sqrt(sum(v * v for v in raw))
@@ -234,7 +237,7 @@ def _certified(n: int, bound: int, r: int, ell: int, residue) -> int:
 
 @lru_cache(maxsize=None)
 def _dim_square_sum(r: int, ell: int) -> int:
-    return sum(weyl_dim(dbl(w.coords)) ** 2 for w in enumerate_level(r, ell))
+    return sum(weyl_dim(w.d) ** 2 for w in enumerate_level(r, ell))
 
 
 def magnitude_bound(g: int, lams, r: int, ell: int) -> int:
@@ -242,7 +245,7 @@ def magnitude_bound(g: int, lams, r: int, ell: int) -> int:
     of its Verlinde terms: prod_i dim V_lam_i at g = 0, and
     |P| * (sum_mu dim V_mu^2)^(g-1) * prod_i dim V_lam_i for g >= 1, since
     qdim <= dim, S_{0mu} >= S_00 and |S_{lam,mu} / S_{0mu}| <= qdim_lam."""
-    out = prod(weyl_dim(dbl(w.coords)) for w in lams)
+    out = prod(weyl_dim(w.d) for w in lams)
     if g >= 1:
         out *= len(enumerate_level(r, ell)) * _dim_square_sum(r, ell) ** (g - 1)
     return out
@@ -311,18 +314,20 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
         raise ValueError("n0_oxbury needs g >= 1")
     rho, roots = _dbl_rho(r), _dbl_positive_roots(r)
     k = ell + 2 * r - 1
+    q = 4 * k
     so_weights = [w for w in enumerate_level(r, ell) if w.is_so]
     bound = magnitude_bound(g, [], r, ell)
     with mpmath.workdps(_working_dps(dps, bound)):
-        pi_over_k = mpmath.pi / k
+        bits = mpmath.mp.prec + SINE_GUARD_BITS
+        # 2 sin(2 pi m / 4k), m < 4k
+        two_sines = [mpmath.ldexp(t, 1 - bits) for t in _sine_table(q, bits)]
         total = mpmath.mpf(0)
         for mu in so_weights:
-            x = tuple(c + p for c, p in zip(dbl(mu.coords), rho))
-            # (mu + rho, alpha) is the dot product of the doubled vectors over 4
+            x = tuple(c + p for c, p in zip(mu.d, rho))
+            # (mu + rho, alpha) is the dot product of the doubled vectors over
+            # 4, so pi (mu + rho, alpha) / k = 2 pi (dot / 2) / 4k
             total += mpmath.fprod(
-                (2 * mpmath.sin(
-                    pi_over_k * (mpmath.mpf(sum(a * b for a, b in zip(x, alpha))) / 4)
-                )) ** (2 - 2 * g)
+                two_sines[sum(a * b for a, b in zip(x, alpha)) // 2 % q] ** (2 - 2 * g)
                 for alpha in roots
             )
         total *= (4 * mpmath.mpf(k) ** r) ** (g - 1)

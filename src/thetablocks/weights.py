@@ -4,10 +4,9 @@ and Young-diagram calculus (transpose, box complement, star)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .rootsys import HALF, Weight, require_rank
+from .rootsys import Weight, require_rank
 
 
 class LevelError(ValueError):
@@ -32,44 +31,41 @@ def enumerate_level(r: int, ell: int) -> tuple[Weight, ...]:
     """All dominant weights of so(2r+1) with b1 + b2 <= ell.
 
     Deterministic order: SO weights first, then spin weights, each family
-    sorted lexicographically by L-coordinates.
+    sorted lexicographically by L-coordinates (enumerated and sorted as
+    doubled ints, which order the same way).
     """
     require_rank(r)
     if ell < 1:
         raise ValueError(f"level must be >= 1, got {ell}")
+    ell2 = 2 * ell
 
-    def family(shift: Fraction) -> list[Weight]:
-        out: list[list[Fraction]] = []
+    def family(shift: int) -> list[tuple[int, ...]]:
+        out: list[tuple[int, ...]] = []
 
-        def rec(prefix: list[Fraction]):
+        def rec(prefix: list[int]):
             i = len(prefix)
             if i == r:
-                out.append(list(prefix))
+                out.append(tuple(prefix))
                 return
             if i == 0:
-                hi = Fraction(ell) - shift  # b2 >= shift, so b1 <= ell - shift
+                hi = ell2 - shift  # b2 >= shift, so b1 <= ell - shift
             elif i == 1:
-                hi = min(prefix[0], Fraction(ell) - prefix[0])
+                hi = min(prefix[0], ell2 - prefix[0])
             else:
                 hi = prefix[-1]
-            v = shift
-            while v <= hi:
+            for v in range(shift, hi + 1, 2):
                 rec(prefix + [v])
-                v += 1
-            return
         rec([])
-        return [Weight(tuple(c)) for c in out]
+        return sorted(out)
 
-    so = sorted(family(Fraction(0)), key=lambda w: w.coords)
-    spin = sorted(family(HALF), key=lambda w: w.coords)
-    return tuple(so + spin)
+    return tuple(Weight.from_dbl(d) for d in family(0) + family(1))
 
 
 def sigma(lam: Weight, ell: int) -> Weight:
     """Affine diagram automorphism exchanging the nodes omega_0 and omega_1:
     lam_1 goes to ell - lam_1 in L-coordinates, everything else fixed."""
     check_level(lam, ell)
-    return Weight((ell - lam.coords[0],) + lam.coords[1:])
+    return Weight.from_dbl((2 * ell - lam.d[0],) + lam.d[1:])
 
 
 # -- Young diagrams -----------------------------------------------------------
@@ -158,5 +154,4 @@ def weight_of_young(y: YoungDiagram, r: int, spin: bool = False) -> Weight:
     require_rank(r)
     if len(y.rows) > r:
         raise ValueError(f"{y} has more than {r} rows")
-    shift = HALF if spin else Fraction(0)
-    return Weight(tuple(Fraction(y.row(i + 1)) + shift for i in range(r)))
+    return Weight.from_dbl(tuple(2 * y.row(i + 1) + spin for i in range(r)))

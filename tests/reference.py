@@ -35,6 +35,41 @@ def tensor_product(lam_d, mu_d):
     return out
 
 
+def doubled(coords) -> tuple:
+    """Twice each of any rational L-coordinates (not necessarily those of a
+    dominant weight), as ints."""
+    return tuple(int(2 * Fraction(c)) for c in coords)
+
+
+def enumerate_level_fractions(r: int, ell: int) -> tuple:
+    """The weights with b1 + b2 <= ell, enumerated and sorted on Fraction
+    L-coordinates: SO weights first, then spin weights, each family in
+    lexicographic order."""
+
+    def family(shift):
+        out = []
+
+        def rec(prefix):
+            i = len(prefix)
+            if i == r:
+                out.append(Weight(tuple(prefix)))
+                return
+            if i == 0:
+                hi = ell - shift
+            elif i == 1:
+                hi = min(prefix[0], ell - prefix[0])
+            else:
+                hi = prefix[-1]
+            v = shift
+            while v <= hi:
+                rec(prefix + [v])
+                v += 1
+        rec([])
+        return sorted(out, key=lambda w: w.coords)
+
+    return tuple(family(Fraction(0)) + family(Fraction(1, 2)))
+
+
 def orbit_size(d) -> int:
     """Closed form for the size of the Weyl orbit (signed permutations) of a
     dominant doubled vector."""

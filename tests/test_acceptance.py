@@ -33,7 +33,7 @@ from thetablocks.fock.operators import BilinearOp, apply_LR, apply_bilinear
 from thetablocks.fock.ranklevel import ranklevel_matrix
 from thetablocks.fock.states import NS, FockState, FockVector, clifford_apply
 from thetablocks.fusion import FusionTable, LevelOneTable
-from thetablocks.rootsys import Weight, _weight_multiplicities_dbl, dbl, weyl_dim
+from thetablocks.rootsys import Weight, _weight_multiplicities_dbl, weyl_dim
 from thetablocks.verlinde import DEFAULT_TOL, dim_trig, theta_counts
 from thetablocks.weights import (
     YoungDiagram,
@@ -135,10 +135,10 @@ def test_acceptance_05_dual_oracle_equivalence():
 def test_acceptance_06_littlewood_richardson_anchors():
     started = time.monotonic()
     for r in (2, 3, 4):
-        wr = dbl(Weight.fundamental(r, r).coords)
+        wr = Weight.fundamental(r, r).d
         allowed = [Weight.fundamental(r, i) for i in range(r)]
         allowed.append(Weight((F(1),) * r))
-        assert tensor_product(wr, wr) == {dbl(w.coords): 1 for w in allowed}
+        assert tensor_product(wr, wr) == {w.d: 1 for w in allowed}
     rng = random.Random(20260809)
     for r, ell in ((2, 5), (3, 7)):
         t = FusionTable(r, ell)
@@ -293,7 +293,7 @@ def test_acceptance_11_invariant_property_checks():
         assert lhs == rhs
     # Freudenthal / Weyl-dimension consistency
     for coords in ("2,1", "3/2,3/2", "2,1,0", "5/2,3/2,1/2"):
-        lam_d = dbl(Weight.parse(coords).coords)
+        lam_d = Weight.parse(coords).d
         mults = _weight_multiplicities_dbl(lam_d)
         assert sum(orbit_size(mu) * k for mu, k in mults.items()) == weyl_dim(lam_d)
     announce(11, "invariant property checks (sigma, equivariance, ordering, bracket, Freudenthal)", started)

@@ -10,7 +10,7 @@ import pytest
 
 from thetablocks import fusion
 from thetablocks.fusion import FusionTable, LevelOneTable, _affine_fold, _fusion_product_dbl
-from thetablocks.rootsys import Weight, _dbl_rho, dbl
+from thetablocks.rootsys import Weight, _dbl_rho
 from thetablocks.weights import LevelError, sigma
 
 from reference import tensor_product
@@ -42,7 +42,7 @@ def sym2_traceless_weights():
 
 def d(text):
     """Doubled coordinates of a weight written in L-coordinates."""
-    return dbl(Weight.parse(text).coords)
+    return Weight.parse(text).d
 
 
 class TestTensor:
@@ -73,10 +73,10 @@ class TestTensor:
     def test_spin_square_components(self, r):
         """V_{omega_r} (x) V_{omega_r} = sum of Lambda^k: multiplicity one on
         {omega_0..omega_{r-1}, 2omega_r} and zero elsewhere."""
-        wr = dbl(Weight.fundamental(r, r).coords)
+        wr = Weight.fundamental(r, r).d
         allowed = [Weight.fundamental(r, i) for i in range(r)]
         allowed.append(Weight(tuple([F(1)] * r)))
-        assert tensor_product(wr, wr) == {dbl(w.coords): 1 for w in allowed}
+        assert tensor_product(wr, wr) == {w.d: 1 for w in allowed}
 
 
 class TestFusion:
@@ -169,8 +169,8 @@ class TestReferenceRows:
     def test_rows_match_two_step_reference(self, r, ell):
         t = FusionTable(r, ell)
         for a, b in itertools.combinations_with_replacement(t.weights(), 2):
-            got = {dbl(nu.coords): n for nu, n in t.product(a, b).items()}
-            assert got == two_step_row(dbl(a.coords), dbl(b.coords), r, ell), (a, b)
+            got = {nu.d: n for nu, n in t.product(a, b).items()}
+            assert got == two_step_row(a.d, b.d, r, ell), (a, b)
 
     @pytest.mark.parametrize("r, ell", [(2, 3), (2, 5), (3, 3), (3, 4)])
     def test_simple_current_acts_on_rows(self, r, ell):

@@ -10,10 +10,10 @@ from thetablocks.fock.coeff import QSqrt2
 from thetablocks.fock.operators import BilinearOp, apply_bilinear
 from thetablocks.fock.states import FockState, FockVector, NS
 from thetablocks.fusion import FusionTable
-from thetablocks.rootsys import _weight_multiplicities_dbl, dbl, fold_shifted, weyl_dim
+from thetablocks.rootsys import _weight_multiplicities_dbl, fold_shifted, weyl_dim
 from thetablocks.weights import enumerate_level, sigma, star, young_diagrams
 
-from reference import orbit_size
+from reference import doubled, orbit_size
 
 _TABLES = {}
 
@@ -66,7 +66,7 @@ class TestFoldProperties:
         pars = {2 * F(c) % 2 for c in coords}
         if len(pars) > 1:
             return
-        folded = fold_shifted(dbl(coords))
+        folded = fold_shifted(doubled(coords))
         if folded is None:
             return
         dom, sign = folded
@@ -83,7 +83,7 @@ class TestFreudenthalConsistency:
     @settings(max_examples=40, deadline=None)
     def test_orbit_sum_is_dimension(self, rlw):
         _, _, lam = rlw
-        lam_d = dbl(lam.coords)
+        lam_d = lam.d
         if weyl_dim(lam_d) > 100_000:
             return
         mults = _weight_multiplicities_dbl(lam_d)

@@ -9,13 +9,13 @@ from thetablocks.rootsys import (
     _dbl_positive_roots,
     _dbl_rho,
     _weight_multiplicities_dbl,
-    dbl,
     fold_shifted,
     weyl_dim,
     weyl_orbit_dbl,
 )
+from thetablocks.weights import enumerate_level
 
-from reference import from_omega, omega_coords, orbit_size
+from reference import doubled, enumerate_level_fractions, from_omega, omega_coords, orbit_size
 
 
 def b2_weyl_group():
@@ -85,6 +85,45 @@ class TestWeight:
         assert not w.is_so
         assert w.level == 2
 
+    @pytest.mark.parametrize("coords,message", [
+        ((F(1),), "so(2r+1) requires r >= 2 (got r=1); "
+                  "the highest-root convention theta = L1+L2 breaks at r = 1"),
+        ((F(-1), F(0)), "not dominant (negative coordinate): (Fraction(-1, 1), Fraction(0, 1))"),
+        ((F(1), F(-1)), "not dominant (negative coordinate): (Fraction(1, 1), Fraction(-1, 1))"),
+        ((F(0), F(1)), "not dominant (coordinates increase): (Fraction(0, 1), Fraction(1, 1))"),
+        ((F(3, 2), F(1)), "coordinates must be all integral or all half-odd: "
+                          "(Fraction(3, 2), Fraction(1, 1))"),
+        ((F(1), F(1, 3)), "coordinates must be all integral or all half-odd: "
+                          "(Fraction(1, 1), Fraction(1, 3))"),
+    ])
+    def test_rejection_messages(self, coords, message):
+        with pytest.raises(ValueError) as exc:
+            Weight(coords)
+        assert str(exc.value) == message
+
+    def test_from_dbl_validates(self):
+        for d in ((1, 2), (0, -2), (3, 2), (2,)):
+            with pytest.raises(ValueError):
+                Weight.from_dbl(d)
+
+    def test_from_dbl_beyond_the_shared_halves(self):
+        w = Weight.from_dbl((301, 1))
+        assert w.coords == (F(301, 2), F(1, 2)) and w.d == (301, 1)
+        with pytest.raises(ValueError):
+            Weight.from_dbl((64, -2))
+
+    def test_doubled_coordinates(self):
+        # d is twice the L-coordinates, and from_dbl, parse and str round-trip;
+        # the doubled-int enumeration keeps the Fraction-sorted order
+        for r in (2, 3, 4):
+            for ell in range(1, 8):
+                ws = enumerate_level(r, ell)
+                assert ws == enumerate_level_fractions(r, ell)
+                for w in ws:
+                    assert w.d == tuple(int(2 * c) for c in w.coords)
+                    assert Weight.from_dbl(w.d) == w
+                    assert Weight.parse(str(w)) == w
+
 
 class TestWeylDim:
     def test_small(self):
@@ -113,12 +152,12 @@ class TestDominantConjugate:
         # the sign is the determinant of the (unique) folding group element
         cases = [(-F(1, 2), F(3, 2)), (F(1, 2), F(5, 2)), (-3, 1), (-2, -4)]
         for v in cases:
-            got = fold_shifted(dbl(v))
+            got = fold_shifted(doubled(v))
             matches = []
             for act, det in b2_weyl_group():
                 img = act(v)
                 if img[0] > img[1] > 0:
-                    matches.append((dbl(img), det))
+                    matches.append((doubled(img), det))
             assert len(matches) == 1
             assert got == matches[0]
 
@@ -142,7 +181,7 @@ def sym2_zero_multiplicity():
 
 def multiplicities(coords):
     """Freudenthal multiplicities of V_lambda, keyed by doubled weights."""
-    return _weight_multiplicities_dbl(dbl(Weight.parse(coords).coords))
+    return _weight_multiplicities_dbl(Weight.parse(coords).d)
 
 
 class TestFreudenthal:
@@ -164,7 +203,7 @@ class TestFreudenthal:
     )
     def test_orbit_sum_equals_dimension(self, coords):
         total = sum(orbit_size(mu) * m for mu, m in multiplicities(coords).items())
-        assert total == weyl_dim(dbl(Weight.parse(coords).coords))
+        assert total == weyl_dim(Weight.parse(coords).d)
 
 
 class TestOrbitSize:

@@ -23,7 +23,7 @@ from thetablocks.verlinde import (
     theta_counts,
     twisted_total,
 )
-from thetablocks.weights import enumerate_level
+from thetablocks.weights import enumerate_level, sigma
 
 from reference import want
 
@@ -33,8 +33,19 @@ from reference import want
 S_GRID = [(2, ell) for ell in range(1, 6)] + [(3, ell) for ell in range(1, 4)]
 
 
+# the rings whose sampled rows must be symmetric and orthonormal to 1e-40
+SAMPLED_GRID = [(r, ell) for r in (2, 3, 4) for ell in range(1, 12)]
+
+
 def _rows(sm):
     return [sm.row(w) for w in sm.weights]
+
+
+def _sampled_weights(sm):
+    """The vacuum, sigma(vacuum), the first spin weight and the last weight."""
+    ws = sm.weights
+    first_spin = next(w for w in ws if not w.is_so)
+    return list(dict.fromkeys([ws[0], sigma(ws[0], sm.level), first_spin, ws[-1]]))
 
 
 class TestSMatrix:
@@ -52,6 +63,25 @@ class TestSMatrix:
                     assert abs(rows[i][j] - rows[j][i]) < tol
                     dot = mpmath.fsum(rows[i][k] * rows[j][k] for k in range(n))
                     assert abs(dot - (1 if i == j else 0)) < tol
+
+    @pytest.mark.parametrize("r,ell", SAMPLED_GRID)
+    def test_sampled_rows(self, r, ell):
+        sm = s_matrix(r, ell)
+        index = {w: j for j, w in enumerate(sm.weights)}
+        picked = _sampled_weights(sm)
+        with mpmath.workdps(sm.dps):
+            tol = mpmath.mpf(10) ** -40
+            assert all(v > 0 for v in sm.row(sm.weights[0]))
+            for a in picked:
+                for b in picked:
+                    assert abs(sm.row(a)[index[b]] - sm.row(b)[index[a]]) < tol
+                    dot = mpmath.fsum(x * y for x, y in zip(sm.row(a), sm.row(b)))
+                    assert abs(dot - (1 if a == b else 0)) < tol
+                # the simple current: S_{sigma lam, mu} = eps(mu) S_{lam, mu},
+                # eps = +1 on SO weights and -1 on spin weights
+                twisted = sm.row(sigma(a, ell))
+                for mu, x, y in zip(sm.weights, sm.row(a), twisted):
+                    assert abs(y - (x if mu.is_so else -x)) < tol
 
     def test_s_squared_is_identity(self):
         # charge conjugation is trivial for B_r, so S^2 = 1 within tolerance
