@@ -53,15 +53,19 @@ MUTANTS = [
            "        if False:\n",
            "Weight accepts a negative coordinate"),
     Mutant("src/thetablocks/rootsys.py",
-           "any(d[i] < d[i + 1] for",
-           "any(d[i] <= d[i + 1] for",
+           "any(keys[i] < keys[i + 1] for",
+           "any(keys[i] <= keys[i + 1] for",
            "Weight rejects equal neighbouring coordinates"),
     Mutant("src/thetablocks/rootsys.py",
-           "if any(c.denominator > 2 for c in cs) or len({x & 1 for x in d}) > 1:",
-           "if any(c.denominator > 2 for c in cs):",
+           "keys = d if halves else cs",
+           "keys = d",
+           "Weight orders coordinates of denominator above 2 by floor(2c)"),
+    Mutant("src/thetablocks/rootsys.py",
+           "if not halves or len({x & 1 for x in d}) > 1:",
+           "if not halves:",
            "Weight accepts mixed integral and half-odd coordinates"),
     Mutant("src/thetablocks/rootsys.py",
-           "if any(c.denominator > 2 for c in cs) or len({x & 1 for x in d}) > 1:",
+           "if not halves or len({x & 1 for x in d}) > 1:",
            "if len({x & 1 for x in d}) > 1:",
            "Weight accepts a coordinate that is not a multiple of 1/2"),
     Mutant("src/thetablocks/rootsys.py",

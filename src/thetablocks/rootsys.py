@@ -19,10 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-# the L-coordinates 0, 1/2, ..., 31 + 1/2, shared by the weights built from
-# doubled ints (fresh Fractions for each weight cost memory, not time)
-_HALVES = tuple(Fraction(x, 2) for x in range(64))
-
 
 class RankError(ValueError):
     """Rank outside the supported range: so(2r+1) needs r >= 2."""
@@ -49,13 +45,15 @@ class Weight:
         if len(cs) < 2:
             require_rank(len(cs))
         # floor(2c): exact for integral and half-odd c, and it keeps the sign
-        # and the weak order of any rational c
+        # of any rational c; the order of other rationals is checked on cs
         d = tuple(2 * c.numerator // c.denominator for c in cs)
+        halves = all(c.denominator <= 2 for c in cs)
         if min(d) < 0:
             raise ValueError(f"not dominant (negative coordinate): {cs}")
-        if any(d[i] < d[i + 1] for i in range(len(d) - 1)):
+        keys = d if halves else cs
+        if any(keys[i] < keys[i + 1] for i in range(len(keys) - 1)):
             raise ValueError(f"not dominant (coordinates increase): {cs}")
-        if any(c.denominator > 2 for c in cs) or len({x & 1 for x in d}) > 1:
+        if not halves or len({x & 1 for x in d}) > 1:
             raise ValueError(f"coordinates must be all integral or all half-odd: {cs}")
         object.__setattr__(self, "d", d)
 
@@ -85,8 +83,7 @@ class Weight:
     @classmethod
     def from_dbl(cls, d) -> "Weight":
         """The weight with doubled coordinates d, validated like any other."""
-        halves = _HALVES
-        return cls(tuple(halves[x] if 0 <= x < len(halves) else Fraction(x, 2) for x in d))
+        return cls(tuple(Fraction(x, 2) for x in d))
 
     @classmethod
     def zero(cls, r: int) -> "Weight":

@@ -91,6 +91,7 @@ class TestWeight:
         ((F(-1), F(0)), "not dominant (negative coordinate): (Fraction(-1, 1), Fraction(0, 1))"),
         ((F(1), F(-1)), "not dominant (negative coordinate): (Fraction(1, 1), Fraction(-1, 1))"),
         ((F(0), F(1)), "not dominant (coordinates increase): (Fraction(0, 1), Fraction(1, 1))"),
+        ((F(0), F(1, 3)), "not dominant (coordinates increase): (Fraction(0, 1), Fraction(1, 3))"),
         ((F(3, 2), F(1)), "coordinates must be all integral or all half-odd: "
                           "(Fraction(3, 2), Fraction(1, 1))"),
         ((F(1), F(1, 3)), "coordinates must be all integral or all half-odd: "
@@ -102,15 +103,11 @@ class TestWeight:
         assert str(exc.value) == message
 
     def test_from_dbl_validates(self):
-        for d in ((1, 2), (0, -2), (3, 2), (2,)):
-            with pytest.raises(ValueError):
-                Weight.from_dbl(d)
-
-    def test_from_dbl_beyond_the_shared_halves(self):
         w = Weight.from_dbl((301, 1))
         assert w.coords == (F(301, 2), F(1, 2)) and w.d == (301, 1)
-        with pytest.raises(ValueError):
-            Weight.from_dbl((64, -2))
+        for d in ((1, 2), (0, -2), (64, -2), (3, 2), (2,)):
+            with pytest.raises(ValueError):
+                Weight.from_dbl(d)
 
     def test_doubled_coordinates(self):
         # d is twice the L-coordinates, and from_dbl, parse and str round-trip;
