@@ -119,6 +119,22 @@ MUTANTS = [
            "        if False:\n",
            "the residue certificate is never checked"),
     Mutant("src/thetablocks/verlinde.py",
+           "upper[:2 * k] + [-v for v in upper[:2 * k]]",
+           "upper[:2 * k] + [v for v in upper[:2 * k]]",
+           "the sine table keeps the sign of the first half wave in the second"),
+    Mutant("src/thetablocks/verlinde.py",
+           "quarter.append((total + half) >> SINE_GUARD_BITS)",
+           "quarter.append(total >> SINE_GUARD_BITS)",
+           "the sine table truncates its guard bits instead of rounding them"),
+    Mutant("src/thetablocks/verlinde.py",
+           "    power = 2 * g - 2  #",
+           "    power = 2 * g - 1  #",
+           "n0_oxbury raises each sine to an exponent off by one"),
+    Mutant("src/thetablocks/verlinde.py",
+           "    n = _round_checked(Fraction(total, 1 << prec))\n",
+           "    n = round(Fraction(total, 1 << prec))\n",
+           "n0_oxbury rounds without _round_checked"),
+    Mutant("src/thetablocks/verlinde.py",
            "    if abs(n) > bound:\n",
            "    if abs(n) > 2 * bound:\n",
            "a trig value above the magnitude bound is certified"),

@@ -7,10 +7,11 @@ signed-permutation sum of the S-matrix factorizes as a determinant of sines,
     S_{lam,mu} = c * det[ sin(2 pi m_ij / 4k) ],   m_ij = X_i Y_j mod 4k,
 
 so every entry reads its r^2 sines from one table of 4k values.  The sines
-are held as fixed-point ints, the determinant is expanded exactly over its r!
-permutations (no pivoting, so a vanishing S_{lam,mu} is just a zero), and
-c = +-1/|row 0| is fixed by the vacuum row.  A row is built when a sum first
-asks for it.
+are fixed-point ints computed in integer arithmetic, the determinant is
+expanded exactly over its r! permutations (no pivoting, so a vanishing
+S_{lam,mu} is just a zero), and c = +-1/|row 0| is fixed by the vacuum row.
+A row is built when a sum first asks for it.  mpmath is imported only where
+an mpf is made: in the S-matrix rows and in the sum of `dim_trig`.
 
 The working precision comes from an integer bound on the answer, and the
 rounded integer is checked against its exact residues modulo primes
@@ -23,18 +24,17 @@ E_{lam,mu} = det[z^m - z^-m] for a primitive 4k-th root of unity z, which is
 the normalization and its sign entering only squared.  This is an identity
 in Z[zeta_4k, 1/2] (Kac-Peterson, Adv. Math. 53, 1984; Coste-Gannon, Phys.
 Lett. B 323, 1994), so it holds under every ring map to F_p.  The
-Oxbury-Wilson sums over SO-weights and the theta-characteristic counts live
-here too.
+Oxbury-Wilson sums over SO-weights, evaluated in integers from the same sine
+table, and the theta-characteristic counts live here too.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import prod
-
-import mpmath
 
 from .common import DEFAULT_DPS
 from .rootsys import Weight, _dbl_positive_roots, _dbl_rho, require_rank, weyl_dim
@@ -65,11 +65,47 @@ def _leibniz_terms(r: int) -> tuple:
     return tuple(out)
 
 
-def _sine_table(q: int, bits: int) -> list:
-    """sin(2 pi m / q) for 0 <= m < q, as ints scaled by 2^bits."""
-    with mpmath.workprec(bits + SINE_GUARD_BITS):
-        return [int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(mpmath.mpf(2 * m) / q), bits)))
-                for m in range(q)]
+def _prec_bits(dps: int) -> int:
+    """The bits of precision mpmath works at for dps digits (its dps_to_prec)."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
+
+
+def _fixed_acot(n: int, one: int) -> int:
+    """atan(1/n) * one by its Taylor series, each term truncated."""
+    term = total = one // n
+    n2, j = n * n, 1
+    while term:
+        term //= n2
+        j += 2
+        total += -(term // j) if j & 2 else term // j
+    return total
+
+
+@lru_cache(maxsize=64)
+def _sine_table(q: int, bits: int) -> tuple:
+    """round(2^bits sin(2 pi m / q)) for 0 <= m < q, q = 4k, in integer
+    arithmetic: pi by Machin's formula 16 acot 5 - 4 acot 239 and the sines
+    of the quarter wave 0 <= m <= k by their Taylor series, both carried
+    SINE_GUARD_BITS beyond bits, the other quadrants by symmetry."""
+    k = q // 4
+    work = bits + SINE_GUARD_BITS
+    one = 1 << work
+    pi = 16 * _fixed_acot(5, one) - 4 * _fixed_acot(239, one)
+    half = 1 << (SINE_GUARD_BITS - 1)
+    quarter = []
+    for m in range(k + 1):
+        x = pi * m // (2 * k)  # 2 pi m / 4k
+        x2 = x * x >> work
+        term = total = x
+        n = 1
+        while term:
+            term = (term * x2 >> work) // ((n + 1) * (n + 2))
+            n += 2
+            total += -term if n & 2 else term
+        quarter.append((total + half) >> SINE_GUARD_BITS)
+    # sin(pi - x) = sin x, sin(pi + x) = -sin x
+    upper = quarter + quarter[-2::-1]
+    return tuple(upper[:2 * k] + [-v for v in upper[:2 * k]])
 
 
 def _det(a):
@@ -117,10 +153,12 @@ class SMatrix(_Dets):
     scale drops out of c."""
 
     def __init__(self, r: int, ell: int, dps: int):
+        import mpmath
+
         self.rank, self.level, self.dps = r, ell, dps
         q = 4 * (ell + 2 * r - 1)
+        super().__init__(r, ell, _sine_table(q, _prec_bits(dps) + SINE_GUARD_BITS))
         with mpmath.workdps(dps):
-            super().__init__(r, ell, _sine_table(q, mpmath.mp.prec + SINE_GUARD_BITS))
             vacuum = self.weights[0]
             raw = self._raw_row(vacuum)
             c = 1 / mpmath.sqrt(sum(v * v for v in raw))
@@ -128,6 +166,8 @@ class SMatrix(_Dets):
             self._rows[vacuum] = self._finished(raw)
 
     def row(self, w: Weight) -> tuple:
+        import mpmath
+
         with mpmath.workdps(self.dps):
             return super().row(w)
 
@@ -191,7 +231,8 @@ class _Residues(_Dets):
     def __init__(self, r: int, ell: int, p: int):
         self.p = p
         q = 4 * (ell + 2 * r - 1)
-        powers = [pow(_root_of_unity(q, p), m, p) for m in range(q)]
+        z = _root_of_unity(q, p)
+        powers = [pow(z, m, p) for m in range(q)]
         super().__init__(r, ell, [powers[m] - powers[-m % q] for m in range(q)])
         self.vacuum = self.row(self.weights[0])
         self.norm = sum(e * e for e in self.vacuum) % p
@@ -258,10 +299,14 @@ def _working_dps(dps: int, bound: int) -> int:
 
 
 def _round_checked(value) -> int:
-    n = int(mpmath.nint(value))
+    """The integer nearest value (an mpf or a Fraction), when it lies within
+    DEFAULT_TOL of it."""
+    n = int(value)  # exact, toward zero; round() takes an mpf through a float
+    if abs(value - n) > 0.5:
+        n += 1 if value > n else -1
     residual = abs(value - n)
     if residual > DEFAULT_TOL:
-        raise PrecisionError(f"rounding residual {mpmath.nstr(residual, 8)} "
+        raise PrecisionError(f"rounding residual {float(residual):.8g} "
                              f"exceeds tolerance {DEFAULT_TOL}")
     return n
 
@@ -269,6 +314,8 @@ def _round_checked(value) -> int:
 def dim_trig(g: int, lams, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     """Verlinde dimension sum(mu) S_{0mu}^{2-2g-n} prod_i S_{lam_i,mu}, at no
     fewer than dps digits, certified modulo primes."""
+    import mpmath
+
     if g < 0:
         raise ValueError("genus must be >= 0")
     lams = list(lams)
@@ -305,9 +352,14 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     N_g^0 = (4 k^r)^(g-1) * sum over SO-weights mu of
             prod over positive roots (2 sin(pi (mu+rho, alpha) / k))^(2-2g)
 
-    with k = ell + 2r - 1, at no fewer than dps digits.  It equals
-    sum over SO-weights mu of S_{0mu}^(2-2g), and is certified modulo primes
-    as (sum_mu E_{0mu}^2)^(g-1) * sum over SO-weights mu of E_{0mu}^(2-2g).
+    with k = ell + 2r - 1, in exact integer arithmetic.  The sines are read
+    from `_sine_table` at B = P + SINE_GUARD_BITS bits, P being the working
+    precision of dim_trig (no fewer than dps digits, raised to hold the
+    magnitude bound), so 2 sin = t / 2^(B-1) for a table entry t and each
+    term of the sum times (4 k^r)^(g-1) 2^P is one integer quotient.  The
+    sum equals sum over SO-weights mu of S_{0mu}^(2-2g); it is rounded by
+    `_round_checked` and certified modulo primes as
+    (sum_mu E_{0mu}^2)^(g-1) * sum over SO-weights mu of E_{0mu}^(2-2g).
     """
     require_rank(r)
     if g < 1:
@@ -315,23 +367,23 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     rho, roots = _dbl_rho(r), _dbl_positive_roots(r)
     k = ell + 2 * r - 1
     q = 4 * k
-    so_weights = [w for w in enumerate_level(r, ell) if w.is_so]
     bound = magnitude_bound(g, [], r, ell)
-    with mpmath.workdps(_working_dps(dps, bound)):
-        bits = mpmath.mp.prec + SINE_GUARD_BITS
-        # 2 sin(2 pi m / 4k), m < 4k
-        two_sines = [mpmath.ldexp(t, 1 - bits) for t in _sine_table(q, bits)]
-        total = mpmath.mpf(0)
-        for mu in so_weights:
-            x = tuple(c + p for c, p in zip(mu.d, rho))
-            # (mu + rho, alpha) is the dot product of the doubled vectors over
-            # 4, so pi (mu + rho, alpha) / k = 2 pi (dot / 2) / 4k
-            total += mpmath.fprod(
-                two_sines[sum(a * b for a, b in zip(x, alpha)) // 2 % q] ** (2 - 2 * g)
-                for alpha in roots
-            )
-        total *= (4 * mpmath.mpf(k) ** r) ** (g - 1)
-        n = _round_checked(total)
+    prec = _prec_bits(_working_dps(dps, bound))
+    bits = prec + SINE_GUARD_BITS
+    sines = _sine_table(q, bits)
+    power = 2 * g - 2  # even, so every denominator below is positive
+    # (2 sin)^(2-2g) = (2^(B-1) / t)^power for each of the |roots| factors
+    numerator = (4 * k ** r) ** (g - 1) << (prec + (bits - 1) * power * len(roots))
+    total = 0
+    for mu in enumerate_level(r, ell):
+        if not mu.is_so:
+            continue
+        x = tuple(c + p for c, p in zip(mu.d, rho))
+        # (mu + rho, alpha) is the dot product of the doubled vectors over
+        # 4, so pi (mu + rho, alpha) / k = 2 pi (dot / 2) / 4k
+        t = prod(sines[sum(a * b for a, b in zip(x, alpha)) // 2 % q] for alpha in roots)
+        total += numerator // t ** power
+    n = _round_checked(Fraction(total, 1 << prec))
 
     def residue(res, p):
         total = sum(pow(e, 2 - 2 * g, p)

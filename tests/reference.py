@@ -6,11 +6,21 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import mpmath
+
 from thetablocks.fock.operators import apply_bilinear
 from thetablocks.fock.states import NS, FockVector, clifford_apply, vacuum
 from thetablocks.fusion import _weight_system
 from thetablocks.goldens import GOLDENS
-from thetablocks.rootsys import Weight, _dbl_rho, fold_shifted, weyl_dim
+from thetablocks.rootsys import (
+    Weight,
+    _dbl_positive_roots,
+    _dbl_rho,
+    fold_shifted,
+    weyl_dim,
+)
+from thetablocks.verlinde import SINE_GUARD_BITS, _working_dps, magnitude_bound
+from thetablocks.weights import enumerate_level
 
 
 @lru_cache(maxsize=None)
@@ -33,6 +43,42 @@ def tensor_product(lam_d, mu_d):
     out = {k: v for k, v in acc.items() if v}
     assert all(v > 0 for v in out.values()), "Klimyk alternation went negative"
     return out
+
+
+def sine_table(q: int, bits: int) -> list:
+    """round(2^bits sin(2 pi m / q)) for 0 <= m < q, by mpmath at bits plus
+    SINE_GUARD_BITS."""
+    with mpmath.workprec(bits + SINE_GUARD_BITS):
+        return [int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(mpmath.mpf(2 * m) / q), bits)))
+                for m in range(q)]
+
+
+def n0_oxbury(g: int, r: int, ell: int, dps: int = 50):
+    """The Oxbury-Wilson sum (4 k^r)^(g-1) * sum over SO-weights mu of
+    prod over positive roots (2 sin(pi (mu+rho, alpha) / k))^(2-2g) in mpf
+    arithmetic at the engine's working precision, from the mpmath sine
+    table: (the nearest integer, the rounding residual as a float), not
+    certified."""
+    rho, roots = _dbl_rho(r), _dbl_positive_roots(r)
+    k = ell + 2 * r - 1
+    q = 4 * k
+    so_weights = [w for w in enumerate_level(r, ell) if w.is_so]
+    with mpmath.workdps(_working_dps(dps, magnitude_bound(g, [], r, ell))):
+        bits = mpmath.mp.prec + SINE_GUARD_BITS
+        # 2 sin(2 pi m / 4k), m < 4k
+        two_sines = [mpmath.ldexp(t, 1 - bits) for t in sine_table(q, bits)]
+        total = mpmath.mpf(0)
+        for mu in so_weights:
+            x = tuple(c + p for c, p in zip(mu.d, rho))
+            # (mu + rho, alpha) is the dot product of the doubled vectors over
+            # 4, so pi (mu + rho, alpha) / k = 2 pi (dot / 2) / 4k
+            total += mpmath.fprod(
+                two_sines[sum(a * b for a, b in zip(x, alpha)) // 2 % q] ** (2 - 2 * g)
+                for alpha in roots
+            )
+        total *= (4 * mpmath.mpf(k) ** r) ** (g - 1)
+        n = int(mpmath.nint(total))
+        return n, float(abs(total - n))
 
 
 def doubled(coords) -> tuple:

@@ -473,5 +473,26 @@ class TestStartUp:
         )
         assert "thetablocks.verlinde" in modules
         assert _loaded(
-            modules, "thetablocks.fusion", "thetablocks.branching", "thetablocks.fock"
+            modules, "thetablocks.fusion", "thetablocks.branching", "thetablocks.fock",
+            "mpmath",
         ) == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["oxbury", "--genus", "2", "--r", "2", "--s", "3"],
+        ["oxbury", "--genus", "3", "--rank", "2", "--level", "5"],
+    ])
+    def test_the_oxbury_sums_load_no_mpmath(self, argv):
+        modules = _modules_after(
+            "from thetablocks.cli import main\n"
+            f"assert main({argv!r}) == 0"
+        )
+        assert "thetablocks.verlinde" in modules
+        assert _loaded(modules, "mpmath") == set()
+
+    def test_the_trig_sum_loads_mpmath(self):
+        modules = _modules_after(
+            "from thetablocks.cli import main\n"
+            "argv = ['dim', '--genus', '3', '--rank', '2', '--level', '3', '--method', 'trig']\n"
+            "assert main(argv) == 0"
+        )
+        assert "mpmath" in modules

@@ -12,8 +12,10 @@ from thetablocks.rootsys import Weight
 from thetablocks.verlinde import (
     PrecisionError,
     SMatrix,
+    _prec_bits,
     _prime_below,
     _round_checked,
+    _sine_table,
     certificate_primes,
     dim_trig,
     magnitude_bound,
@@ -25,6 +27,7 @@ from thetablocks.verlinde import (
 )
 from thetablocks.weights import enumerate_level, sigma
 
+import reference
 from reference import want
 
 
@@ -46,6 +49,27 @@ def _sampled_weights(sm):
     ws = sm.weights
     first_spin = next(w for w in ws if not w.is_so)
     return list(dict.fromkeys([ws[0], sigma(ws[0], sm.level), first_spin, ws[-1]]))
+
+
+class TestSineTable:
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_entries_are_rounded_sines(self, bits):
+        for k in range(1, 26):
+            q = 4 * k
+            table = _sine_table(q, bits)
+            assert len(table) == q
+            assert all(abs(a - b) <= 1 for a, b in zip(table, reference.sine_table(q, bits)))
+            # and correctly rounded: within half a unit of 2^bits sin(2 pi m / q)
+            with mpmath.workprec(bits + 128):
+                for m, a in enumerate(table):
+                    exact = mpmath.ldexp(mpmath.sinpi(mpmath.mpf(2 * m) / q), bits)
+                    assert abs(a - exact) < 0.5 + 2 ** -32, (q, m)
+
+    def test_precision_in_bits_follows_mpmath(self):
+        # the S-matrix and n0_oxbury share tables keyed by these bits
+        assert all(_prec_bits(d) == mpmath.libmp.dps_to_prec(d) for d in range(1, 500))
+        with mpmath.workdps(50):
+            assert _prec_bits(50) == mpmath.mp.prec
 
 
 class TestSMatrix:
@@ -170,6 +194,30 @@ class TestCertificate:
             with pytest.raises(PrecisionError, match="rounding residual"):
                 _round_checked(mpmath.mpf(5) - mpmath.mpf("1e-4"))
 
+    def test_rounding_is_exact_beyond_a_float(self):
+        big = 8822744214291785516496941747113937474450549755813888
+        with mpmath.workdps(80):
+            assert _round_checked(mpmath.mpf(big) + mpmath.mpf("1e-9")) == big
+            assert _round_checked(mpmath.mpf(big) - mpmath.mpf("1e-9")) == big
+            assert _round_checked(mpmath.mpf(-5) - mpmath.mpf("1e-9")) == -5
+        assert _round_checked(Fraction(big * 10 ** 9 - 1, 10 ** 9)) == big
+        assert _round_checked(Fraction(-5 * 10 ** 9 + 1, 10 ** 9)) == -5
+        with pytest.raises(PrecisionError, match="rounding residual"):
+            _round_checked(Fraction(big * 10 ** 4 + 1, 10 ** 4))
+
+    def test_a_residue_table_finds_its_root_of_unity_once(self, monkeypatch):
+        calls = []
+        real = verlinde._root_of_unity
+
+        def counted(q, p):
+            calls.append((q, p))
+            return real(q, p)
+
+        monkeypatch.setattr(verlinde, "_root_of_unity", counted)
+        p = _prime_below(24, 2 ** 61)  # so(5) level 3: 4k = 24
+        verlinde._Residues(2, 3, p)
+        assert calls == [(24, p)]
+
     def test_an_off_by_one_rounding_is_refused(self, monkeypatch):
         # 16863 passes every float check once rounding is forced
         monkeypatch.setattr(verlinde, "_round_checked", lambda value: 16863)
@@ -236,6 +284,18 @@ class TestOxbury:
 
     def test_n0_value(self):
         assert n0_oxbury(2, 2, 1) == 8
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("ell", [1, 3, 5, 7, 9])
+    def test_matches_the_mpmath_sum(self, r, ell):
+        for g in range(1, 6):
+            want_n, residual = reference.n0_oxbury(g, r, ell)
+            assert residual < 1e-6
+            assert n0_oxbury(g, r, ell) == want_n, (g, r, ell)
+
+    def test_high_genus_sums_match_the_mpmath_sum(self):
+        for g, r, ell in ((16, 3, 5), (20, 2, 5)):
+            assert n0_oxbury(g, r, ell) == reference.n0_oxbury(g, r, ell)[0]
 
     def test_genus_one_counts_so_weights(self):
         for r, ell in ((2, 3), (2, 5), (3, 3)):
