@@ -135,6 +135,10 @@ MUTANTS = [
            "    n = round(Fraction(total, 1 << prec))\n",
            "n0_oxbury rounds without _round_checked"),
     Mutant("src/thetablocks/verlinde.py",
+           "    return max(MIN_PREC, bound.bit_length() + GUARD_BITS)\n",
+           "    return MIN_PREC\n",
+           "the working precision ignores the magnitude bound"),
+    Mutant("src/thetablocks/verlinde.py",
            "    if abs(n) > bound:\n",
            "    if abs(n) > 2 * bound:\n",
            "a trig value above the magnitude bound is certified"),

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .common import DEFAULT_DPS, UnreducibleError
+from .common import UnreducibleError
 
 EXIT_PARSE = 1
 EXIT_DISAGREE = 2
@@ -68,7 +68,7 @@ def parse_weights(text: str) -> list:
     return [Weight.parse(part) for part in text.split(";") if part.strip()]
 
 
-def _dims_both(g, lams, r, ell, method, cache_dir, dps):
+def _dims_both(g, lams, r, ell, method, cache_dir):
     exact = trig = table = None
     if method in ("exact", "both"):
         from .fusion import FusionTable
@@ -78,7 +78,7 @@ def _dims_both(g, lams, r, ell, method, cache_dir, dps):
     if method in ("trig", "both"):
         from .verlinde import dim_trig
 
-        trig = dim_trig(g, lams, r, ell, dps)
+        trig = dim_trig(g, lams, r, ell)
     if method == "both" and exact != trig:
         raise EngineDisagreement(
             f"fusion gives {exact}, trig gives {trig} for genus {g}, {lams}"
@@ -93,7 +93,7 @@ def cmd_fusion(args) -> Report:
     if len(lams) != 3:
         raise _usage_error("fusion needs exactly three weights")
     value, exact, trig = _dims_both(
-        0, lams, args.rank, args.level, args.method, args.cache_dir, args.precision
+        0, lams, args.rank, args.level, args.method, args.cache_dir
     )
     outputs = {"N": value}
     if args.method == "both":
@@ -113,8 +113,7 @@ def cmd_fusion(args) -> Report:
 def cmd_dim(args) -> Report:
     lams = parse_weights(args.weights) if args.weights else []
     value, exact, trig = _dims_both(
-        args.genus, lams, args.rank, args.level, args.method, args.cache_dir,
-        args.precision,
+        args.genus, lams, args.rank, args.level, args.method, args.cache_dir
     )
     outputs = {"dim": value}
     if args.method == "both":
@@ -189,7 +188,7 @@ def cmd_oxbury(args) -> Report:
     if {args.rank, args.level} != {None} and {args.r, args.s} != {None}:
         raise _usage_error("oxbury takes --rank/--level or --r/--s, not both")
     if args.rank is not None and args.level is not None:
-        n0 = n0_oxbury(args.genus, args.rank, args.level, args.precision)
+        n0 = n0_oxbury(args.genus, args.rank, args.level)
         return Report(
             "oxbury",
             {"genus": args.genus, "rank": args.rank, "level": args.level},
@@ -198,7 +197,7 @@ def cmd_oxbury(args) -> Report:
         )
     if args.r is None or args.s is None:
         raise _usage_error("oxbury needs either --rank/--level or --r/--s")
-    rep = oxbury_check(args.genus, args.r, args.s, args.precision)
+    rep = oxbury_check(args.genus, args.r, args.s)
     return Report(
         "oxbury",
         {"genus": args.genus, "r": args.r, "s": args.s},
@@ -280,40 +279,36 @@ def cmd_theta_counts(args) -> Report:
 
 
 def cmd_paper_check(args):
+    """One PASS/FAIL line per golden row as it runs, or with --json one
+    report of the passed count and the failed names at the end; exit 2 when a
+    row fails."""
     from .goldens import GOLDENS, context
 
-    ctx = context(args.cache_dir, args.precision)
-    failures = 0
+    ctx = context(args.cache_dir)
+    failed = []
     for row in GOLDENS:
         got = row.compute(ctx)
-        if got == row.want:
-            print(f"PASS  {row.name}")
-        else:
-            print(f"FAIL  {row.name}   [got {got}]")
-            failures += 1
-    if failures:
-        print(f"{failures} golden check(s) FAILED")
+        if got != row.want:
+            failed.append(row.name)
+        if not args.json:
+            print(f"PASS  {row.name}" if got == row.want
+                  else f"FAIL  {row.name}   [got {got}]")
+    if not failed:
+        ctx.table.save()
+    if args.json:
+        outputs = {"passed": len(GOLDENS) - len(failed), "failed": failed}
+        print(Report("paper-check", {}, outputs, engine="goldens").rendered(True))
+    else:
+        print(f"{len(failed)} golden check(s) FAILED" if failed
+              else "all golden checks passed")
+    if failed:
         raise SystemExit(EXIT_DISAGREE)
-    ctx.table.save()
-    print("all golden checks passed")
     return None
 
 
 def _usage_error(msg: str) -> SystemExit:
     print(f"error: {msg}", file=sys.stderr)
     return SystemExit(EXIT_PARSE)
-
-
-def _precision(text: str) -> int:
-    """--precision: the least working precision of the trig engine, in decimal
-    digits, at least 1; the engine raises it to hold its magnitude bound."""
-    try:
-        dps = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if dps < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1 digit (got {dps})")
-    return dps
 
 
 # Argument specs: the flag and its argparse keywords.
@@ -335,7 +330,6 @@ def _optional(spec):
 # Taken by every subcommand, after its own arguments.
 COMMON_ARGS = (
     ("--cache-dir", {"default": DEFAULT_CACHE}),
-    ("--precision", {"type": _precision, "default": DEFAULT_DPS}),
     ("--json", {"action": "store_true"}),
 )
 

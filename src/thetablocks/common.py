@@ -1,7 +1,5 @@
-"""Names shared by the engines and the command line that import nothing: the
-CLI reads them while it parses arguments, before it loads any engine."""
-
-DEFAULT_DPS = 50  # working precision, in decimal digits, of the trig oracle
+"""The error shared by an engine and the command line, in a module that
+imports nothing: the CLI catches it without loading any engine."""
 
 
 class UnreducibleError(ValueError):

@@ -11,19 +11,16 @@ from functools import partial
 from itertools import combinations_with_replacement
 from typing import Any, Callable, NamedTuple
 
-from .common import DEFAULT_DPS
-
 
 class Context(NamedTuple):
     table: Any  # the so(5) level-3 FusionTable of the dual-oracle row
     cache_dir: str | None
-    dps: int
 
 
-def context(cache_dir: str | None = None, dps: int = DEFAULT_DPS) -> Context:
+def context(cache_dir: str | None = None) -> Context:
     from .fusion import FusionTable
 
-    return Context(FusionTable(2, 3, cache_dir), cache_dir, dps)
+    return Context(FusionTable(2, 3, cache_dir), cache_dir)
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ def _spin(r, ctx):
 def _twisted(g, ctx):
     from .verlinde import twisted_total
 
-    return twisted_total(g, 2, 1, ctx.dps)
+    return twisted_total(g, 2, 1)
 
 
 def _theta(g, ctx):
@@ -68,7 +65,7 @@ def _oxbury(g, r, s, ctx):
     """{lhs, rhs}: one value exactly when the two sides agree."""
     from .verlinde import oxbury_check
 
-    rep = oxbury_check(g, r, s, ctx.dps)
+    rep = oxbury_check(g, r, s)
     return {rep.lhs, rep.rhs}
 
 
@@ -88,7 +85,7 @@ def _dual_oracle(ctx):
     tab = ctx.table
     return tuple(
         t for t in combinations_with_replacement(tab.weights(), 3)
-        if tab.triple(*t) != dim_trig(0, t, tab.rank, tab.level, ctx.dps)
+        if tab.triple(*t) != dim_trig(0, t, tab.rank, tab.level)
     )
 
 

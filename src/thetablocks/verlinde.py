@@ -13,9 +13,10 @@ S_{lam,mu} is just a zero), and c = +-1/|row 0| is fixed by the vacuum row.
 A row is built when a sum first asks for it.  mpmath is imported only where
 an mpf is made: in the S-matrix rows and in the sum of `dim_trig`.
 
-The working precision comes from an integer bound on the answer, and the
-rounded integer is checked against its exact residues modulo primes
-p = 1 (mod 4k).  Over F_p the sine determinant becomes
+The working precision, in bits, is chosen here and nowhere else: the bit
+length of an integer bound on the answer plus GUARD_BITS, and no less than
+MIN_PREC.  The rounded integer is checked against its exact residues modulo
+primes p = 1 (mod 4k).  Over F_p the sine determinant becomes
 E_{lam,mu} = det[z^m - z^-m] for a primitive 4k-th root of unity z, which is
 (2i)^r times the sine determinant, and the Verlinde number is
 
@@ -36,12 +37,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .common import DEFAULT_DPS
 from .rootsys import Weight, _dbl_positive_roots, _dbl_rho, require_rank, weyl_dim
 from .weights import check_weight, enumerate_level, sigma
 
 DEFAULT_TOL = 1e-6
-GUARD_DIGITS = 15  # working digits beyond those of the magnitude bound
+# The least working precision in bits, mpmath's at 50 digits.  Every query
+# whose bound has at most MIN_PREC - GUARD_BITS bits works at it, so one
+# S-matrix (and one sine table) per ring serves every small query.
+MIN_PREC = 169
+GUARD_BITS = 56  # working bits beyond those of the magnitude bound
 SINE_GUARD_BITS = 64  # fixed-point bits of the sine table beyond the working ones
 PRIME_TOP = 2 ** 61  # the residue primes are the largest ones below this
 # Miller-Rabin with these bases is deterministic below 3.3e24
@@ -63,11 +67,6 @@ def _leibniz_terms(r: int) -> tuple:
         inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(r), 2))
         out.append(((-1) ** inversions, perm))
     return tuple(out)
-
-
-def _prec_bits(dps: int) -> int:
-    """The bits of precision mpmath works at for dps digits (its dps_to_prec)."""
-    return max(1, round((dps + 1) * 3.3219280948873626))
 
 
 def _fixed_acot(n: int, one: int) -> int:
@@ -146,19 +145,19 @@ class _Dets:
 
 
 class SMatrix(_Dets):
-    """The S-matrix of so(2r+1) at level ell and dps digits, a row at a time:
+    """The S-matrix of so(2r+1) at level ell and prec bits, a row at a time:
     c * det[sin(2 pi m_ij / 4k)] with c = +-1/|row 0| from the vacuum row.
     The sines are held as ints scaled by 2^B, B being the working precision
     in bits plus SINE_GUARD_BITS, so the determinants are exact ints and the
     scale drops out of c."""
 
-    def __init__(self, r: int, ell: int, dps: int):
+    def __init__(self, r: int, ell: int, prec: int):
         import mpmath
 
-        self.rank, self.level, self.dps = r, ell, dps
+        self.rank, self.level, self.prec = r, ell, prec
         q = 4 * (ell + 2 * r - 1)
-        super().__init__(r, ell, _sine_table(q, _prec_bits(dps) + SINE_GUARD_BITS))
-        with mpmath.workdps(dps):
+        super().__init__(r, ell, _sine_table(q, prec + SINE_GUARD_BITS))
+        with mpmath.workprec(prec):
             vacuum = self.weights[0]
             raw = self._raw_row(vacuum)
             c = 1 / mpmath.sqrt(sum(v * v for v in raw))
@@ -168,7 +167,7 @@ class SMatrix(_Dets):
     def row(self, w: Weight) -> tuple:
         import mpmath
 
-        with mpmath.workdps(self.dps):
+        with mpmath.workprec(self.prec):
             return super().row(w)
 
     def _finished(self, dets: list) -> tuple:
@@ -176,9 +175,9 @@ class SMatrix(_Dets):
 
 
 @lru_cache(maxsize=None)
-def s_matrix(r: int, ell: int, dps: int = DEFAULT_DPS) -> SMatrix:
+def s_matrix(r: int, ell: int, prec: int) -> SMatrix:
     require_rank(r)
-    return SMatrix(r, ell, dps)
+    return SMatrix(r, ell, prec)
 
 
 # -- exact residues modulo primes p = 1 (mod 4k) ------------------------------
@@ -292,10 +291,10 @@ def magnitude_bound(g: int, lams, r: int, ell: int) -> int:
     return out
 
 
-def _working_dps(dps: int, bound: int) -> int:
-    """The caller's dps, raised to hold every digit of the bound and
-    GUARD_DIGITS more."""
-    return max(dps, len(str(bound)) + GUARD_DIGITS)
+def _working_prec(bound: int) -> int:
+    """The working precision in bits: every bit of the bound and GUARD_BITS
+    more, and no less than MIN_PREC."""
+    return max(MIN_PREC, bound.bit_length() + GUARD_BITS)
 
 
 def _round_checked(value) -> int:
@@ -311,9 +310,9 @@ def _round_checked(value) -> int:
     return n
 
 
-def dim_trig(g: int, lams, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
-    """Verlinde dimension sum(mu) S_{0mu}^{2-2g-n} prod_i S_{lam_i,mu}, at no
-    fewer than dps digits, certified modulo primes."""
+def dim_trig(g: int, lams, r: int, ell: int) -> int:
+    """Verlinde dimension sum(mu) S_{0mu}^{2-2g-n} prod_i S_{lam_i,mu}, at the
+    working precision of its magnitude bound, certified modulo primes."""
     import mpmath
 
     if g < 0:
@@ -322,11 +321,11 @@ def dim_trig(g: int, lams, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     for w in lams:
         check_weight(w, r, ell)
     bound = magnitude_bound(g, lams, r, ell)
-    sm = s_matrix(r, ell, _working_dps(dps, bound))
+    sm = s_matrix(r, ell, _working_prec(bound))
     vacuum = sm.row(sm.weights[0])
     rows = [sm.row(w) for w in lams]
     power = 2 - 2 * g - len(lams)
-    with mpmath.workdps(sm.dps):
+    with mpmath.workprec(sm.prec):
         total = mpmath.fsum(
             (vacuum[j] ** power) * mpmath.fprod(row[j] for row in rows)
             for j in range(len(sm.weights))
@@ -346,7 +345,7 @@ def dim_trig(g: int, lams, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     return _certified(n, bound, r, ell, residue)
 
 
-def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
+def n0_oxbury(g: int, r: int, ell: int) -> int:
     """The Oxbury-Wilson sum
 
     N_g^0 = (4 k^r)^(g-1) * sum over SO-weights mu of
@@ -354,9 +353,9 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
 
     with k = ell + 2r - 1, in exact integer arithmetic.  The sines are read
     from `_sine_table` at B = P + SINE_GUARD_BITS bits, P being the working
-    precision of dim_trig (no fewer than dps digits, raised to hold the
-    magnitude bound), so 2 sin = t / 2^(B-1) for a table entry t and each
-    term of the sum times (4 k^r)^(g-1) 2^P is one integer quotient.  The
+    precision of the magnitude bound, so 2 sin = t / 2^(B-1) for a table
+    entry t and each term of the sum times (4 k^r)^(g-1) 2^P is one integer
+    quotient.  The
     sum equals sum over SO-weights mu of S_{0mu}^(2-2g); it is rounded by
     `_round_checked` and certified modulo primes as
     (sum_mu E_{0mu}^2)^(g-1) * sum over SO-weights mu of E_{0mu}^(2-2g).
@@ -368,7 +367,7 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     k = ell + 2 * r - 1
     q = 4 * k
     bound = magnitude_bound(g, [], r, ell)
-    prec = _prec_bits(_working_dps(dps, bound))
+    prec = _working_prec(bound)
     bits = prec + SINE_GUARD_BITS
     sines = _sine_table(q, bits)
     power = 2 * g - 2  # even, so every denominator below is positive
@@ -393,12 +392,12 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
     return _certified(n, bound, r, ell, residue)
 
 
-def twisted_total(g: int, r: int, ell: int, dps: int = DEFAULT_DPS) -> int:
+def twisted_total(g: int, r: int, ell: int) -> int:
     """dim V_{omega_0} + dim V_{ell*omega_1} at genus g (one marked point
     carries ell*omega_1); equals 2 * n0_oxbury by the character-sign collapse."""
     top = sigma(Weight.zero(r), ell)  # ell * omega_1
-    vac = dim_trig(g, [], r, ell, dps)
-    twisted = dim_trig(g, [top], r, ell, dps)
+    vac = dim_trig(g, [], r, ell)
+    twisted = dim_trig(g, [top], r, ell)
     return vac + twisted
 
 
@@ -412,13 +411,13 @@ class OxburyReport:
     equal: bool
 
 
-def oxbury_check(g: int, r: int, s: int, dps: int = DEFAULT_DPS) -> OxburyReport:
+def oxbury_check(g: int, r: int, s: int) -> OxburyReport:
     """Check N_g^0(so(2r+1), 2s+1) = N_g^0(so(2s+1), 2r+1), both sides
     evaluated independently."""
     require_rank(r)
     require_rank(s, "s")  # s is the rank of the right side
-    lhs = n0_oxbury(g, r, 2 * s + 1, dps)
-    rhs = n0_oxbury(g, s, 2 * r + 1, dps)
+    lhs = n0_oxbury(g, r, 2 * s + 1)
+    rhs = n0_oxbury(g, s, 2 * r + 1)
     return OxburyReport(g, r, s, lhs, rhs, lhs == rhs)
 
 

@@ -19,7 +19,7 @@ from thetablocks.rootsys import (
     fold_shifted,
     weyl_dim,
 )
-from thetablocks.verlinde import SINE_GUARD_BITS, _working_dps, magnitude_bound
+from thetablocks.verlinde import SINE_GUARD_BITS, _working_prec, magnitude_bound
 from thetablocks.weights import enumerate_level
 
 
@@ -53,7 +53,7 @@ def sine_table(q: int, bits: int) -> list:
                 for m in range(q)]
 
 
-def n0_oxbury(g: int, r: int, ell: int, dps: int = 50):
+def n0_oxbury(g: int, r: int, ell: int):
     """The Oxbury-Wilson sum (4 k^r)^(g-1) * sum over SO-weights mu of
     prod over positive roots (2 sin(pi (mu+rho, alpha) / k))^(2-2g) in mpf
     arithmetic at the engine's working precision, from the mpmath sine
@@ -63,7 +63,7 @@ def n0_oxbury(g: int, r: int, ell: int, dps: int = 50):
     k = ell + 2 * r - 1
     q = 4 * k
     so_weights = [w for w in enumerate_level(r, ell) if w.is_so]
-    with mpmath.workdps(_working_dps(dps, magnitude_bound(g, [], r, ell))):
+    with mpmath.workprec(_working_prec(magnitude_bound(g, [], r, ell))):
         bits = mpmath.mp.prec + SINE_GUARD_BITS
         # 2 sin(2 pi m / 4k), m < 4k
         two_sines = [mpmath.ldexp(t, 1 - bits) for t in sine_table(q, bits)]

@@ -66,6 +66,13 @@ class TestSubcommands:
         for line in ("dim     : 1", "dim_exact: 1", "dim_trig: 1"):
             assert line in out.splitlines()
 
+    def test_dim_trig_past_the_str_digit_limit_of_its_bound(self, capsys):
+        # the bound has more than 4300 digits, the answer 1596
+        rc, out = run(capsys, "dim", "--genus", "2650", "--rank", "2", "--level", "1",
+                      "--method", "trig")
+        assert rc == 0
+        assert f"dim     : {2 ** 2649 * (2 ** 2650 + 1)}" in out.splitlines()
+
     def test_ranklevel_examples(self, capsys):
         for n in (1, 2, 3):
             rc, blob = run_json(capsys, "ranklevel", "--example", str(n))
@@ -121,16 +128,6 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["dim", "--genus", "nope"])
         assert exc.value.code == 1
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_precision_below_one_is_1(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["dim", "--genus", "2", "--rank", "2", "--level", "3",
-                  "--method", "trig", "--precision", value])
-        assert exc.value.code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"argument --precision: must be at least 1 digit (got {value})" in captured.err
 
     @pytest.mark.parametrize("method", ["exact", "trig", "both"])
     def test_negative_genus_is_1_under_every_method(self, capsys, method):
@@ -287,8 +284,8 @@ class TestExitCodes:
 
 
 # stdout, stderr and exit code of `theta-blocks --help`, of `--help` for each
-# subcommand and of three usage errors, recorded at 80 columns from the
-# hand-written parser that the subcommand table replaced
+# subcommand and of three usage errors, recorded at 80 columns; the last
+# passes the removed `--precision`, now an unrecognized argument
 with open(os.path.join(os.path.dirname(__file__), "cli_surface.json"), encoding="utf-8") as _fh:
     PINNED_SURFACE = json.load(_fh)
 
@@ -345,6 +342,27 @@ class TestPaperCheck:
             f"FAIL  {second.name}   [got {second.want}]\n"
             "1 golden check(s) FAILED\n"
         )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_is_one_report(self, capsys, tmp_path):
+        argv = ["paper-check", "--cache-dir", str(tmp_path), "--json"]
+        assert main(argv) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["command"] == "paper-check"
+        assert blob["outputs"] == {"passed": len(GOLDENS), "failed": []}
+        assert (tmp_path / "B2_level3.fusion.txt").exists()
+
+    def test_json_names_a_failing_row_and_exits_2(self, capsys, monkeypatch, tmp_path):
+        from thetablocks import goldens
+
+        first, second = GOLDENS[:2]
+        failing = dataclasses.replace(second, want=second.want + 1)
+        monkeypatch.setattr(goldens, "GOLDENS", (first, failing))
+        with pytest.raises(SystemExit) as exc:
+            main(["paper-check", "--cache-dir", str(tmp_path), "--json"])
+        assert exc.value.code == 2
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["outputs"] == {"passed": 1, "failed": [second.name]}
         assert list(tmp_path.iterdir()) == []
 
 
@@ -453,7 +471,7 @@ class TestStartUp:
             "import thetablocks.cli\n"
             "parser = thetablocks.cli.build_parser()\n"
             "argv = ['dim', '--genus', '2', '--rank', '2', '--level', '1']\n"
-            "assert parser.parse_args(argv).precision == 50\n"
+            "assert parser.parse_args(argv).genus == 2\n"
             "assert parser.parse_args(['paper-check']).cache_dir"
         )
         assert "thetablocks.cli" in modules

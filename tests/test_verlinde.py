@@ -10,12 +10,14 @@ from thetablocks import verlinde
 from thetablocks.fusion import FusionTable
 from thetablocks.rootsys import Weight
 from thetablocks.verlinde import (
+    GUARD_BITS,
+    MIN_PREC,
     PrecisionError,
     SMatrix,
-    _prec_bits,
     _prime_below,
     _round_checked,
     _sine_table,
+    _working_prec,
     certificate_primes,
     dim_trig,
     magnitude_bound,
@@ -31,8 +33,8 @@ import reference
 from reference import want
 
 
-# the grid the trig S-matrix must keep symmetric and unitary to 1e-40 at the
-# default 50 digits (the worst deviation reads 1.6e-50)
+# the grid the trig S-matrix must keep symmetric and unitary to 1e-40 at
+# MIN_PREC, 50 digits (the worst deviation reads 1.6e-50)
 S_GRID = [(2, ell) for ell in range(1, 6)] + [(3, ell) for ell in range(1, 4)]
 
 
@@ -65,22 +67,38 @@ class TestSineTable:
                     exact = mpmath.ldexp(mpmath.sinpi(mpmath.mpf(2 * m) / q), bits)
                     assert abs(a - exact) < 0.5 + 2 ** -32, (q, m)
 
-    def test_precision_in_bits_follows_mpmath(self):
-        # the S-matrix and n0_oxbury share tables keyed by these bits
-        assert all(_prec_bits(d) == mpmath.libmp.dps_to_prec(d) for d in range(1, 500))
-        with mpmath.workdps(50):
-            assert _prec_bits(50) == mpmath.mp.prec
+
+class TestWorkingPrecision:
+    def test_the_floor_is_mpmaths_precision_at_50_digits(self):
+        assert MIN_PREC == mpmath.libmp.dps_to_prec(50)
+        with mpmath.workprec(MIN_PREC):
+            assert mpmath.mp.dps == 50
+
+    def test_the_floor_holds_up_to_113_bits(self):
+        for bits in range(114):
+            assert _working_prec((1 << bits) - 1) == MIN_PREC, bits
+
+    def test_above_the_floor_it_is_the_bit_length_plus_the_guard(self):
+        assert GUARD_BITS == 56
+        for bits in (114, 115, 271, 367, 1000):
+            assert _working_prec(1 << (bits - 1)) == bits + 56
+            assert _working_prec((1 << bits) - 1) == bits + 56
+
+    def test_a_bound_past_the_str_digit_limit(self):
+        # 6021 digits: past Python's default 4300-digit int-to-str limit
+        bound = 1 << 20000
+        assert _working_prec(bound) == 20001 + GUARD_BITS
 
 
 class TestSMatrix:
     @pytest.mark.parametrize("r,ell", S_GRID)
     def test_symmetric_unitary_positive(self, r, ell):
-        sm = s_matrix(r, ell)
-        assert sm.dps == 50
+        sm = s_matrix(r, ell, MIN_PREC)
+        assert sm.prec == MIN_PREC
         n = len(sm.weights)
         rows = _rows(sm)
-        with mpmath.workdps(sm.dps):
-            tol = mpmath.mpf(10) ** (-sm.dps + 10)
+        with mpmath.workprec(sm.prec):
+            tol = mpmath.mpf(10) ** (-mpmath.mp.dps + 10)
             for i in range(n):
                 assert rows[0][i] > 0
                 for j in range(n):
@@ -90,10 +108,10 @@ class TestSMatrix:
 
     @pytest.mark.parametrize("r,ell", SAMPLED_GRID)
     def test_sampled_rows(self, r, ell):
-        sm = s_matrix(r, ell)
+        sm = s_matrix(r, ell, MIN_PREC)
         index = {w: j for j, w in enumerate(sm.weights)}
         picked = _sampled_weights(sm)
-        with mpmath.workdps(sm.dps):
+        with mpmath.workprec(sm.prec):
             tol = mpmath.mpf(10) ** -40
             assert all(v > 0 for v in sm.row(sm.weights[0]))
             for a in picked:
@@ -109,18 +127,18 @@ class TestSMatrix:
 
     def test_s_squared_is_identity(self):
         # charge conjugation is trivial for B_r, so S^2 = 1 within tolerance
-        sm = s_matrix(2, 3)
+        sm = s_matrix(2, 3, MIN_PREC)
         n = len(sm.weights)
         rows = _rows(sm)
-        with mpmath.workdps(sm.dps):
-            tol = mpmath.mpf(10) ** (-sm.dps + 10)
+        with mpmath.workprec(sm.prec):
+            tol = mpmath.mpf(10) ** (-mpmath.mp.dps + 10)
             for i in range(n):
                 for j in range(n):
                     dot = mpmath.fsum(rows[i][k] * rows[k][j] for k in range(n))
                     assert abs(dot - (1 if i == j else 0)) < tol
 
     def test_rows_are_built_on_demand(self):
-        sm = SMatrix(3, 9, 50)
+        sm = SMatrix(3, 9, MIN_PREC)
         assert list(sm._rows) == [sm.weights[0]]
         w = sm.weights[7]
         assert sm.row(w) is sm.row(w)
@@ -129,10 +147,10 @@ class TestSMatrix:
     def test_so7_level9_rows_are_unitary(self):
         # mpmath.det crashed on this ring: rows 1, 17, 64 and 124 hold
         # vanishing entries
-        sm = s_matrix(3, 9)
+        sm = s_matrix(3, 9, MIN_PREC)
         assert len(sm.weights) == 125
         picked = [sm.weights[i] for i in (0, 1, 17, 64, 124)]
-        with mpmath.workdps(sm.dps):
+        with mpmath.workprec(sm.prec):
             tol = mpmath.mpf(10) ** -40
             for i, a in enumerate(picked):
                 for j, b in enumerate(picked):
@@ -159,9 +177,10 @@ class TestDimTrig:
     def test_genus_three_at_default_precision(self):
         assert dim_trig(3, [], 2, 3) == 16864
 
-    # dps is a floor: the working precision follows the magnitude bound
-    def test_genus_three_at_one_digit(self):
-        assert dim_trig(3, [], 2, 3, dps=1) == 16864
+    def test_level_one_vacuum_past_the_str_digit_limit(self):
+        # the even theta characteristics at g = 2650: a 1596-digit answer
+        # whose magnitude bound has more than 4300 digits
+        assert dim_trig(2650, [], 2, 1) == 2 ** 2649 * (2 ** 2650 + 1)
 
     def test_so7_level5_genus14_vacuum(self):
         # the exact value of perfbench op c:B3L5:g14
