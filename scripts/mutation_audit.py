@@ -105,6 +105,18 @@ MUTANTS = [
            "                if n < 0:\n",
            "                if n < -1:\n",
            "a cache line with multiplicity -1 is read"),
+    Mutant("src/thetablocks/fusion.py",
+           "            self._products[key] = row\n            self._unsaved = True\n",
+           "            self._products[key] = row\n",
+           "save() skips a table that computed new rows"),
+    Mutant("src/thetablocks/fusion.py",
+           "        if path is None or not self._unsaved:\n",
+           "        if path is None:\n",
+           "a save with no new rows rewrites the cache file"),
+    Mutant("src/thetablocks/fusion.py",
+           "            if w not in self._own:\n",
+           "            if False:\n",
+           "the level-one ring admits any weight"),
     # trig oracle: normalisation, rounding and certificate
     Mutant("src/thetablocks/verlinde.py",
            "self._c = c if raw[0] > 0 else -c",
@@ -127,26 +139,51 @@ MUTANTS = [
            "quarter.append(total >> SINE_GUARD_BITS)",
            "the sine table truncates its guard bits instead of rounding them"),
     Mutant("src/thetablocks/verlinde.py",
-           "    power = 2 * g - 2  #",
-           "    power = 2 * g - 1  #",
-           "n0_oxbury raises each sine to an exponent off by one"),
+           "    return n - modulus if n > modulus // 2 else n\n",
+           "    return n - modulus if n > modulus else n\n",
+           "the CRT join is not lifted to the signed range"),
     Mutant("src/thetablocks/verlinde.py",
-           "    n = _round_checked(Fraction(total, 1 << prec))\n",
-           "    n = round(Fraction(total, 1 << prec))\n",
-           "n0_oxbury rounds without _round_checked"),
+           "    if residue(_residues(r, ell, p), p) != n % p:\n"
+           "        raise PrecisionError(f\"joined value",
+           "    if False:\n"
+           "        raise PrecisionError(f\"joined value",
+           "a CRT join is not checked at the prime past the bound"),
+    Mutant("src/thetablocks/verlinde.py",
+           "sum(pow(e, 2 - 2 * g, p)",
+           "sum(pow(e, 1 - 2 * g, p)",
+           "n0_oxbury raises E_0mu to 1 - 2g instead of 2 - 2g"),
     Mutant("src/thetablocks/verlinde.py",
            "    return max(MIN_PREC, bound.bit_length() + GUARD_BITS)\n",
            "    return MIN_PREC\n",
            "the working precision ignores the magnitude bound"),
     Mutant("src/thetablocks/verlinde.py",
-           "    if abs(n) > bound:\n",
-           "    if abs(n) > 2 * bound:\n",
+           "    if abs(n) > bound:\n        raise PrecisionError(f\"trig value",
+           "    if abs(n) > 2 * bound:\n        raise PrecisionError(f\"trig value",
            "a trig value above the magnitude bound is certified"),
+    Mutant("src/thetablocks/verlinde.py",
+           "    if abs(n) > bound:\n        raise PrecisionError(f\"joined value",
+           "    if abs(n) > 2 * bound:\n        raise PrecisionError(f\"joined value",
+           "a CRT join above the magnitude bound is returned"),
     # branching
     Mutant("src/thetablocks/branching.py",
            "    if num < 0 or num % den:\n",
            "    if num % den:\n",
            "a negative sewing exponent is accepted"),
+    Mutant("src/thetablocks/branching.py",
+           'yield bullet(_sigma(lam, ell_l), mu, f"(sigma(Y), Y^T) with Y={y}")',
+           'yield bullet(lam, _sigma(mu, ell_r), f"(sigma(Y), Y^T) with Y={y}")',
+           "the sigma-twist of a (sigma(Y), Y^T) bullet lands on the wrong side"),
+    Mutant("src/thetablocks/branching.py",
+           "        rules.setdefault((lam, mu), rule)\n",
+           "        rules[(lam, mu)] = rule\n",
+           "the rule table keeps the last matching bullet, not the first"),
+    Mutant("src/thetablocks/branching.py",
+           "        return lam, mu, _sewing(lam, mu, Lambda, p, big), rule\n",
+           "        try:\n"
+           "            return lam, mu, _sewing(lam, mu, Lambda, p, big), rule\n"
+           "        except BranchingError:\n"
+           "            return lam, mu, 0, rule\n",
+           "a bullet whose exponent fails the check is listed anyway"),
     # exit codes
     Mutant("src/thetablocks/cli.py",
            '        print(f"engine disagreement: {exc}", file=sys.stderr)\n'

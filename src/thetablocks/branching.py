@@ -7,17 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fusion import FusionTable, LevelOneTable
 from .rootsys import Weight, _dbl_rho, require_rank
-from .weights import (
-    check_level,
-    check_weight,
-    sigma,
-    star,
-    transpose,
-    weight_of_young,
-    young_diagrams,
-)
+from .weights import LevelError, check_weight, star, transpose, young_diagrams
 
 LAMBDA_LABELS = ("0", "1", "d")
 
@@ -45,26 +36,44 @@ class EmbeddingParams:
         return (2 * self.s + 1, 2 * self.r + 1)
 
 
-def _anomaly(lam: Weight, ell: int) -> tuple[int, int]:
-    """The trace anomaly as (numerator, 8 (h_vee + ell)): on doubled ints
-    L = 2 lam and R = 2 rho, (lam, lam + 2 rho) = sum L_i (L_i + 2 R_i) / 4."""
-    check_level(lam, ell)
-    r = lam.rank
+def _check_level(d: tuple[int, ...], ell: int) -> None:
+    """`weights.check_level` on doubled coordinates, with its LevelError."""
+    if d[0] + d[1] > 2 * ell:
+        raise LevelError(f"{Weight.from_dbl(d)} is above level {ell}")
+
+
+def _sigma(d: tuple[int, ...], ell: int) -> tuple[int, ...]:
+    """`weights.sigma` on doubled coordinates: lam_1 goes to ell - lam_1."""
+    _check_level(d, ell)
+    return (2 * ell - d[0],) + d[1:]
+
+
+def _anomaly(d: tuple[int, ...], ell: int) -> tuple[int, int]:
+    """The trace anomaly of the weight with doubled coordinates d, as
+    (numerator, 8 (h_vee + ell)): with R = 2 rho,
+    (lam, lam + 2 rho) = sum d_i (d_i + 2 R_i) / 4."""
+    _check_level(d, ell)
     num = 0
-    for x, p in zip(lam.d, _dbl_rho(r)):
+    for x, p in zip(d, _dbl_rho(len(d))):
         num += x * (x + 2 * p)
-    return num, 8 * (2 * r - 1 + ell)
+    return num, 8 * (2 * len(d) - 1 + ell)
+
+
+def _lambda_dbl(label: str, d: int) -> tuple[int, ...]:
+    """Doubled coordinates of the level-one so(2d+1) weight named by "0", "1"
+    or "d"."""
+    if label == "0":
+        return (0,) * d
+    if label == "1":
+        return (2,) + (0,) * (d - 1)
+    if label == "d":
+        return (1,) * d
+    raise ValueError(f"Lambda label must be one of {LAMBDA_LABELS}, got {label!r}")
 
 
 def lambda_weight(label: str, d: int) -> Weight:
     """The level-one so(2d+1) weight named by "0", "1" or "d"."""
-    if label == "0":
-        return Weight.zero(d)
-    if label == "1":
-        return Weight.fundamental(d, 1)
-    if label == "d":
-        return Weight.fundamental(d, d)
-    raise ValueError(f"Lambda label must be one of {LAMBDA_LABELS}, got {label!r}")
+    return Weight.from_dbl(_lambda_dbl(label, d))
 
 
 @dataclass(frozen=True)
@@ -84,30 +93,39 @@ def sewing_exponent(lam: Weight, mu: Weight, Lambda: str, r: int, s: int) -> int
     p = EmbeddingParams(r, s)
     check_weight(lam, r, p.levels[0])
     check_weight(mu, s, p.levels[1])
-    return _sewing(lam, mu, Lambda, p)
+    return _sewing(lam.d, mu.d, Lambda, p)
 
 
 def _sewing(lam, mu, Lambda, p: EmbeddingParams, big=None) -> int:
-    """sewing_exponent, with Delta_Lambda given as `big` = _anomaly(...) when
-    the caller already has it.  The exponent is one int numerator over the
-    product of the three anomaly denominators: for weights of ranks r and s
-    both factors have h_vee + ell = 2(r + s), and so(2d+1) at level one 2d."""
+    """sewing_exponent on doubled coordinates, with Delta_Lambda given as
+    `big` = _anomaly(...) when the caller already has it.  The exponent is
+    one int numerator over the product of the three anomaly denominators:
+    for weights of ranks r and s both factors have h_vee + ell = 2(r + s),
+    and so(2d+1) at level one 2d."""
     nl, dl = _anomaly(lam, p.levels[0])
     nm, dm = _anomaly(mu, p.levels[1])
-    nL, dL = big if big is not None else _anomaly(lambda_weight(Lambda, p.d), 1)
+    nL, dL = big if big is not None else _anomaly(_lambda_dbl(Lambda, p.d), 1)
     den = dl * dm * dL
     num = (nl * dm + nm * dl) * dL - nL * dl * dm
     if num < 0 or num % den:
         raise BranchingError(
-            f"sewing exponent for ({lam}; {mu}; omega_{Lambda}) is "
-            f"{Fraction(num, den)}, "
+            f"sewing exponent for ({Weight.from_dbl(lam)}; {Weight.from_dbl(mu)}; "
+            f"omega_{Lambda}) is {Fraction(num, den)}, "
             "not a nonnegative integer: the pair is not a branching pair"
         )
     return num // den
 
 
-def branch_pairs(Lambda: str, r: int, s: int) -> tuple[BranchTriple, ...]:
-    """The branching pairs B(Lambda) for Lambda in {omega_0, omega_1, omega_d}.
+def _young(y, r: int, spin: int = 0) -> tuple[int, ...]:
+    """Doubled coordinates of the weight Y (SO kind) or Y + omega_r (spin
+    kind, spin=1) of a diagram with at most r rows."""
+    return tuple(2 * y.row(i + 1) + spin for i in range(r))
+
+
+def _bullets(Lambda: str, r: int, s: int):
+    """Each bullet of B(Lambda), for Lambda in {omega_0, omega_1, omega_d},
+    as (lam doubled, mu doubled, sewing exponent, rule), in rule order.
+    Both levels and the exponent of every bullet are checked on ints.
 
     For the vacuum and vector nodes, each diagram Y in the r x s box pairs
     with its transpose, with single sigma-twists flipping the node by the
@@ -119,47 +137,48 @@ def branch_pairs(Lambda: str, r: int, s: int) -> tuple[BranchTriple, ...]:
     ell_l, ell_r = p.levels
     if Lambda not in LAMBDA_LABELS:
         raise ValueError(f"Lambda label must be one of {LAMBDA_LABELS}")
-    big = _anomaly(lambda_weight(Lambda, p.d), 1)
-    out: list[BranchTriple] = []
+    big = _anomaly(_lambda_dbl(Lambda, p.d), 1)
 
-    def emit(lam, mu, rule):
-        out.append(BranchTriple(lam, mu, Lambda, _sewing(lam, mu, Lambda, p, big), rule))
+    def bullet(lam, mu, rule):
+        return lam, mu, _sewing(lam, mu, Lambda, p, big), rule
 
     if Lambda in ("0", "1"):
         want_parity = 0 if Lambda == "0" else 1
         for y in young_diagrams(r, s):
-            lam = weight_of_young(y, r)
-            mu = weight_of_young(transpose(y), s)
+            lam = _young(y, r)
+            mu = _young(transpose(y), s)
             if y.size % 2 == want_parity:
-                emit(lam, mu, f"(Y, Y^T) with Y={y}")
+                yield bullet(lam, mu, f"(Y, Y^T) with Y={y}")
             else:
-                emit(sigma(lam, ell_l), mu, f"(sigma(Y), Y^T) with Y={y}")
-                emit(lam, sigma(mu, ell_r), f"(Y, sigma(Y^T)) with Y={y}")
+                yield bullet(_sigma(lam, ell_l), mu, f"(sigma(Y), Y^T) with Y={y}")
+                yield bullet(lam, _sigma(mu, ell_r), f"(Y, sigma(Y^T)) with Y={y}")
     else:
         for y in young_diagrams(r, s):
-            lam = weight_of_young(y, r, spin=True)
-            mu = weight_of_young(star(y, r, s), s, spin=True)
-            emit(lam, mu, f"(Y+omega_r, Y*+omega_s) with Y={y}")
+            lam = _young(y, r, 1)
+            mu = _young(star(y, r, s), s, 1)
+            yield bullet(lam, mu, f"(Y+omega_r, Y*+omega_s) with Y={y}")
             if y.fits(r, s - 1):
-                emit(
-                    sigma(lam, ell_l),
-                    mu,
-                    f"(sigma(Y+omega_r), Y*+omega_s) with Y={y}",
-                )
+                yield bullet(_sigma(lam, ell_l), mu,
+                             f"(sigma(Y+omega_r), Y*+omega_s) with Y={y}")
             else:
-                emit(
-                    lam,
-                    sigma(mu, ell_r),
-                    f"(Y+omega_r, sigma(Y*+omega_s)) with Y={y}",
-                )
-    return tuple(out)
+                yield bullet(lam, _sigma(mu, ell_r),
+                             f"(Y+omega_r, sigma(Y*+omega_s)) with Y={y}")
+
+
+def branch_pairs(Lambda: str, r: int, s: int) -> tuple[BranchTriple, ...]:
+    """The branching pairs B(Lambda) of `_bullets`, as `Weight` triples."""
+    return tuple(
+        BranchTriple(Weight.from_dbl(lam), Weight.from_dbl(mu), Lambda, m, rule)
+        for lam, mu, m, rule in _bullets(Lambda, r, s)
+    )
 
 
 def _rule_table(Lambda: str, r: int, s: int) -> dict:
-    """(lam, mu) -> the first bullet of B(Lambda) that admits the pair."""
+    """(lam doubled, mu doubled) -> the first bullet of B(Lambda) that admits
+    the pair."""
     rules: dict = {}
-    for tri in branch_pairs(Lambda, r, s):
-        rules.setdefault((tri.lam, tri.mu), tri.rule)
+    for lam, mu, _m, rule in _bullets(Lambda, r, s):
+        rules.setdefault((lam, mu), rule)
     return rules
 
 
@@ -191,7 +210,8 @@ def ranklevel_report(
     strict=False a failed admissibility check is recorded in the certificate
     instead of raised.  The level-one block dimension must be 1 for the
     rank-level map to be defined up to scalar.  With a cache_dir, the two
-    fusion tables are read from it and saved back to it before returning.
+    fusion tables are read from it and saved back to it, if they gained
+    rows, before returning.
     """
     p = EmbeddingParams(r, s)
     source = tuple(source)
@@ -204,7 +224,7 @@ def ranklevel_report(
     for lam, mu, L in zip(source, target, Lambdas):
         if L not in tables:
             tables[L] = _rule_table(L, r, s)
-        rule = tables[L].get((lam, mu))
+        rule = tables[L].get((lam.d, mu.d))
         if rule is None:
             msg = f"({lam}; {mu}) not admitted by the B(omega_{L}) rules"
             if strict:
@@ -212,6 +232,8 @@ def ranklevel_report(
             certs.append(msg)
         else:
             certs.append(rule)
+    from .fusion import FusionTable, LevelOneTable  # only a report uses fusion
+
     ring_l = FusionTable(r, p.levels[0], cache_dir)
     ring_r = FusionTable(s, p.levels[1], cache_dir)
     ring_1 = LevelOneTable(p.d)

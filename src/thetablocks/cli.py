@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .common import UnreducibleError
+from .common import UnreducibleError, theta_counts
 
 EXIT_PARSE = 1
 EXIT_DISAGREE = 2
@@ -267,8 +267,6 @@ def cmd_clifford_eval(args) -> Report:
 
 
 def cmd_theta_counts(args) -> Report:
-    from .verlinde import theta_counts
-
     total, even, odd = theta_counts(args.genus)
     return Report(
         "theta-counts",

@@ -171,7 +171,8 @@ class FusionTable(FusionRing):
     under a "B r level ell version 1" header.  Rows are keyed by the sorted
     pair of doubled coordinates; their entries are the table's own weights.
     A table with a `cache_dir` reads the cache file when built and writes it
-    only when its owner calls `save()`.
+    only when its owner calls `save()`, and then only if the table computed
+    a row since, or the file was rejected.
     """
 
     def __init__(self, r: int, ell: int, cache_dir: str | None = None):
@@ -180,6 +181,7 @@ class FusionTable(FusionRing):
         # doubled coordinates -> Weight, for every weight of the table
         self._weight_of = {w.d: w for w in self.weights()}
         self._products: dict[tuple, dict] = {}
+        self._unsaved = False  # rows the cache file lacks, or a rejected file
         if cache_dir:
             self._load()
 
@@ -197,6 +199,7 @@ class FusionTable(FusionRing):
             raw = _fusion_product_dbl(key[0], key[1], self.rank, self.level)
             row = {weight_of[k]: n for k, n in raw.items()}
             self._products[key] = row
+            self._unsaved = True
         return row
 
     # -- persistence ----------------------------------------------------
@@ -224,6 +227,7 @@ class FusionTable(FusionRing):
             return
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
+        self._unsaved = True  # until the whole file is read
         if not lines or lines[0] != self._header():
             return  # version bump or foreign file: ignore, will be rebuilt
         weight_of = self._weight_of
@@ -260,12 +264,15 @@ class FusionTable(FusionRing):
             if n:
                 row[nu] = n
         self._products = products
+        self._unsaved = False
 
     def save(self) -> None:
-        """Write every row to the cache file atomically: a temporary file in
-        the same directory replaces the old one only once fully written."""
+        """Write every row to the cache file atomically, when the table
+        holds rows the file lacks or `_load` rejected the file: a temporary
+        file in the same directory replaces the old one only once fully
+        written."""
         path = self.cache_path
-        if path is None:
+        if path is None or not self._unsaved:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
         weight_of = self._weight_of
@@ -284,6 +291,7 @@ class FusionTable(FusionRing):
                 if lines:
                     fh.write("\n")
             os.replace(tmp, path)
+            self._unsaved = False
         except BaseException:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -300,14 +308,17 @@ class LevelOneTable(FusionRing):
         self._w0 = Weight.zero(d)
         self._w1 = Weight.fundamental(d, 1)
         self._wd = Weight.fundamental(d, d)
+        self._own = frozenset(self.weights())
 
     def weights(self) -> tuple[Weight, ...]:
         return (self._w0, self._w1, self._wd)
 
     def product(self, lam: Weight, mu: Weight) -> dict[Weight, int]:
-        # the level-one weights are exactly those of level <= 1
-        check_weight(lam, self.rank, 1)
-        check_weight(mu, self.rank, 1)
+        # the level-one weights are exactly those of level <= 1: any other
+        # weight fails check_weight, with its error
+        for w in (lam, mu):
+            if w not in self._own:
+                check_weight(w, self.rank, 1)
         w0, w1, wd = self._w0, self._w1, self._wd
         if lam == w0:
             return {mu: 1}

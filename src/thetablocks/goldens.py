@@ -56,7 +56,7 @@ def _twisted(g, ctx):
 
 
 def _theta(g, ctx):
-    from .verlinde import theta_counts
+    from .common import theta_counts
 
     return theta_counts(g)
 

@@ -25,19 +25,18 @@ E_{lam,mu} = det[z^m - z^-m] for a primitive 4k-th root of unity z, which is
 the normalization and its sign entering only squared.  This is an identity
 in Z[zeta_4k, 1/2] (Kac-Peterson, Adv. Math. 53, 1984; Coste-Gannon, Phys.
 Lett. B 323, 1994), so it holds under every ring map to F_p.  The
-Oxbury-Wilson sums over SO-weights, evaluated in integers from the same sine
-table, and the theta-characteristic counts live here too.
+Oxbury-Wilson sums over SO-weights live here too; they evaluate no sine at
+all, being joined by CRT from the same residues.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .rootsys import Weight, _dbl_positive_roots, _dbl_rho, require_rank, weyl_dim
+from .rootsys import Weight, _dbl_rho, require_rank, weyl_dim
 from .weights import check_weight, enumerate_level, sigma
 
 DEFAULT_TOL = 1e-6
@@ -245,19 +244,27 @@ def _residues(r: int, ell: int, p: int) -> _Residues:
     return _Residues(r, ell, p)
 
 
-def certificate_primes(r: int, ell: int, bound: int) -> list[int]:
-    """The primes p = 1 (mod 4k) below PRIME_TOP, largest first, that
-    certify an integer of absolute value at most bound: their product
-    exceeds 2 * bound.  A prime where sum_mu E_{0mu}^2 or some E_{0mu}
-    vanishes is skipped."""
+def _good_primes(r: int, ell: int):
+    """The primes p = 1 (mod 4k) below PRIME_TOP, largest first, skipping a
+    prime where sum_mu E_{0mu}^2 or some E_{0mu} vanishes."""
     q = 4 * (ell + 2 * r - 1)
-    primes, modulus, p = [], 1, PRIME_TOP
-    while modulus <= 2 * bound:
+    p = PRIME_TOP
+    while True:
         p = _prime_below(q, p)
         res = _residues(r, ell, p)
         if res.norm and all(res.vacuum):
-            primes.append(p)
-            modulus *= p
+            yield p
+
+
+def certificate_primes(r: int, ell: int, bound: int) -> list[int]:
+    """The first of `_good_primes` that certify an integer of absolute value
+    at most bound: their product exceeds 2 * bound."""
+    good = _good_primes(r, ell)
+    primes, modulus = [], 1
+    while modulus <= 2 * bound:
+        p = next(good)
+        primes.append(p)
+        modulus *= p
     return primes
 
 
@@ -345,51 +352,55 @@ def dim_trig(g: int, lams, r: int, ell: int) -> int:
     return _certified(n, bound, r, ell, residue)
 
 
+def _signed_crt(residues, primes) -> int:
+    """The integer n with -M/2 < n <= M/2, M the product of the primes, that
+    is congruent to each residue modulo its prime (Garner's join)."""
+    n, modulus = 0, 1
+    for a, p in zip(residues, primes):
+        n += modulus * ((a - n) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return n - modulus if n > modulus // 2 else n
+
+
+def _joined(bound: int, r: int, ell: int, residue) -> int:
+    """The integer of absolute value at most bound that equals residue(E, p)
+    modulo each certificate prime p, E being the residue rows mod p, joined by
+    CRT.  It must lie within the bound and equal residue(E, p) at the next
+    good prime too, else PrecisionError: a bound too small to fix the integer
+    is refused, not wrapped."""
+    primes = certificate_primes(r, ell, bound)
+    n = _signed_crt([residue(_residues(r, ell, p), p) for p in primes], primes)
+    if abs(n) > bound:
+        raise PrecisionError(f"joined value {n} exceeds the bound {bound}")
+    p = next(itertools.islice(_good_primes(r, ell), len(primes), None))
+    if residue(_residues(r, ell, p), p) != n % p:
+        raise PrecisionError(f"joined value {n} disagrees with its exact "
+                             f"residue modulo the prime {p} past the bound")
+    return n
+
+
 def n0_oxbury(g: int, r: int, ell: int) -> int:
     """The Oxbury-Wilson sum
 
     N_g^0 = (4 k^r)^(g-1) * sum over SO-weights mu of
             prod over positive roots (2 sin(pi (mu+rho, alpha) / k))^(2-2g)
 
-    with k = ell + 2r - 1, in exact integer arithmetic.  The sines are read
-    from `_sine_table` at B = P + SINE_GUARD_BITS bits, P being the working
-    precision of the magnitude bound, so 2 sin = t / 2^(B-1) for a table
-    entry t and each term of the sum times (4 k^r)^(g-1) 2^P is one integer
-    quotient.  The
-    sum equals sum over SO-weights mu of S_{0mu}^(2-2g); it is rounded by
-    `_round_checked` and certified modulo primes as
-    (sum_mu E_{0mu}^2)^(g-1) * sum over SO-weights mu of E_{0mu}^(2-2g).
+    with k = ell + 2r - 1, which equals sum over SO-weights mu of
+    S_{0mu}^(2-2g).  No sum of sines is evaluated: the integer is joined by
+    `_joined` from its exact residues
+    (sum_mu E_{0mu}^2)^(g-1) * sum over SO-weights mu of E_{0mu}^(2-2g)
+    modulo the primes of its magnitude bound.
     """
     require_rank(r)
     if g < 1:
         raise ValueError("n0_oxbury needs g >= 1")
-    rho, roots = _dbl_rho(r), _dbl_positive_roots(r)
-    k = ell + 2 * r - 1
-    q = 4 * k
-    bound = magnitude_bound(g, [], r, ell)
-    prec = _working_prec(bound)
-    bits = prec + SINE_GUARD_BITS
-    sines = _sine_table(q, bits)
-    power = 2 * g - 2  # even, so every denominator below is positive
-    # (2 sin)^(2-2g) = (2^(B-1) / t)^power for each of the |roots| factors
-    numerator = (4 * k ** r) ** (g - 1) << (prec + (bits - 1) * power * len(roots))
-    total = 0
-    for mu in enumerate_level(r, ell):
-        if not mu.is_so:
-            continue
-        x = tuple(c + p for c, p in zip(mu.d, rho))
-        # (mu + rho, alpha) is the dot product of the doubled vectors over
-        # 4, so pi (mu + rho, alpha) / k = 2 pi (dot / 2) / 4k
-        t = prod(sines[sum(a * b for a, b in zip(x, alpha)) // 2 % q] for alpha in roots)
-        total += numerator // t ** power
-    n = _round_checked(Fraction(total, 1 << prec))
 
     def residue(res, p):
         total = sum(pow(e, 2 - 2 * g, p)
                     for w, e in zip(res.weights, res.vacuum) if w.is_so)
         return pow(res.norm, g - 1, p) * total % p
 
-    return _certified(n, bound, r, ell, residue)
+    return _joined(magnitude_bound(g, [], r, ell), r, ell, residue)
 
 
 def twisted_total(g: int, r: int, ell: int) -> int:
@@ -420,11 +431,3 @@ def oxbury_check(g: int, r: int, s: int) -> OxburyReport:
     rhs = n0_oxbury(g, s, 2 * r + 1)
     return OxburyReport(g, r, s, lhs, rhs, lhs == rhs)
 
-
-def theta_counts(g: int) -> tuple[int, int, int]:
-    """(total, even, odd) theta-characteristic counts:
-    2^(2g), 2^(g-1)(2^g + 1), 2^(g-1)(2^g - 1)."""
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    total = 4 ** g
-    return total, (total + 2 ** g) // 2, (total - 2 ** g) // 2

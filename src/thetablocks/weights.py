@@ -147,11 +147,3 @@ def young_diagrams(nrows: int, ncols: int) -> list[YoungDiagram]:
     rec([])
     return out
 
-
-def weight_of_young(y: YoungDiagram, r: int, spin: bool = False) -> Weight:
-    """The weight Y (SO kind) or Y + omega_r (spin kind) for a diagram with
-    at most r rows."""
-    require_rank(r)
-    if len(y.rows) > r:
-        raise ValueError(f"{y} has more than {r} rows")
-    return Weight.from_dbl(tuple(2 * y.row(i + 1) + spin for i in range(r)))

@@ -17,10 +17,11 @@ from thetablocks.rootsys import (
     _dbl_positive_roots,
     _dbl_rho,
     fold_shifted,
+    require_rank,
     weyl_dim,
 )
 from thetablocks.verlinde import SINE_GUARD_BITS, _working_prec, magnitude_bound
-from thetablocks.weights import enumerate_level
+from thetablocks.weights import YoungDiagram, enumerate_level
 
 
 @lru_cache(maxsize=None)
@@ -114,6 +115,15 @@ def enumerate_level_fractions(r: int, ell: int) -> tuple:
         return sorted(out, key=lambda w: w.coords)
 
     return tuple(family(Fraction(0)) + family(Fraction(1, 2)))
+
+
+def weight_of_young(y: YoungDiagram, r: int, spin: bool = False) -> Weight:
+    """The weight Y (SO kind) or Y + omega_r (spin kind) for a diagram with
+    at most r rows."""
+    require_rank(r)
+    if len(y.rows) > r:
+        raise ValueError(f"{y} has more than {r} rows")
+    return Weight.from_dbl(tuple(2 * y.row(i + 1) + spin for i in range(r)))
 
 
 def orbit_size(d) -> int:

@@ -19,6 +19,7 @@ from math import factorial
 
 from thetablocks import goldens
 from thetablocks.branching import branch_pairs
+from thetablocks.common import theta_counts
 from thetablocks.fock.algebra import bracket, invariant_form
 from thetablocks.fock.coeff import INV_SQRT2, QSqrt2
 from thetablocks.fock.forms import psi_pair, psitilde
@@ -34,18 +35,24 @@ from thetablocks.fock.ranklevel import ranklevel_matrix
 from thetablocks.fock.states import NS, FockState, FockVector, clifford_apply
 from thetablocks.fusion import FusionTable, LevelOneTable
 from thetablocks.rootsys import Weight, _weight_multiplicities_dbl, weyl_dim
-from thetablocks.verlinde import DEFAULT_TOL, dim_trig, theta_counts
+from thetablocks.verlinde import DEFAULT_TOL, dim_trig
 from thetablocks.weights import (
     YoungDiagram,
     enumerate_level,
     sigma,
     star,
     transpose,
-    weight_of_young,
     young_diagrams,
 )
 
-from reference import golden_rows, ns_monomial, orbit_size, tensor_product, want
+from reference import (
+    golden_rows,
+    ns_monomial,
+    orbit_size,
+    tensor_product,
+    want,
+    weight_of_young,
+)
 
 
 def announce(number, title, started):

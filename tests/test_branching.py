@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
@@ -18,7 +17,7 @@ from thetablocks.branching import (
     sewing_exponent,
 )
 from thetablocks.rootsys import Weight, _dbl_rho
-from thetablocks.weights import enumerate_level, sigma, young_diagrams
+from thetablocks.weights import LevelError, enumerate_level, sigma, young_diagrams
 
 
 def _ref_trace_anomaly(lam, ell):
@@ -71,25 +70,26 @@ class TestEmbedding:
 
 
 class TestTraceAnomaly:
-    """`_anomaly` gives Delta_lam as an int numerator and denominator."""
+    """`_anomaly` gives Delta_lam, from the doubled coordinates of lam, as an
+    int numerator and denominator."""
 
     def test_examples(self):
-        assert F(*_anomaly(Weight.zero(3), 5)) == 0
-        assert F(*_anomaly(Weight.fundamental(2, 1), 7)) == F(1, 5)
-        assert F(*_anomaly(Weight.fundamental(17, 1), 1)) == F(1, 2)
-        assert F(*_anomaly(Weight.fundamental(3, 1), 5)) == F(3, 10)
+        assert F(*_anomaly(Weight.zero(3).d, 5)) == 0
+        assert F(*_anomaly(Weight.fundamental(2, 1).d, 7)) == F(1, 5)
+        assert F(*_anomaly(Weight.fundamental(17, 1).d, 1)) == F(1, 2)
+        assert F(*_anomaly(Weight.fundamental(3, 1).d, 5)) == F(3, 10)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_matches_the_killing_form_reference(self, r):
         for ell in range(1, 10):
             for lam in enumerate_level(r, ell):
-                num, den = _anomaly(lam, ell)
+                num, den = _anomaly(lam.d, ell)
                 assert type(num) is type(den) is int
                 assert F(num, den) == _ref_trace_anomaly(lam, ell)
 
     def test_above_level_fails(self):
-        with pytest.raises(ValueError):
-            _anomaly(Weight.parse("2,1"), 2)
+        with pytest.raises(LevelError, match="2,1 is above level 2"):
+            _anomaly(Weight.parse("2,1").d, 2)
 
 
 class TestSewing:
@@ -138,6 +138,29 @@ class TestSewing:
             for t in branch_pairs(lab, r, s):
                 assert isinstance(t.exponent, int) and t.exponent >= 0
 
+    @pytest.mark.parametrize("r,s", [(2, 3), (3, 4), (4, 3)])
+    def test_exponents_at_the_example_shapes(self, r, s):
+        # the (r, s) of the three bundled rank-level examples
+        for lab in ("0", "1", "d"):
+            for t in branch_pairs(lab, r, s):
+                assert type(t.exponent) is int and t.exponent >= 0
+                assert t.exponent == _ref_sewing(t.lam, t.mu, lab, r, s), t
+
+    def test_a_bullet_with_a_bad_exponent_raises(self, monkeypatch):
+        # Y = [] mapped to omega_1 on both sides: (omega_1, omega_1) at
+        # omega_0 has exponent 1/5 + 3/10 = 1/2
+        real = branching._young
+
+        def shifted(y, r, spin=0):
+            d = real(y, r, spin)
+            return d if y.rows else (d[0] + 2,) + d[1:]
+
+        monkeypatch.setattr(branching, "_young", shifted)
+        with pytest.raises(BranchingError, match=r"\(1,0; 1,0,0; omega_0\) is 1/2, not"):
+            branch_pairs("0", 2, 3)
+        with pytest.raises(BranchingError, match="is 1/2, not a nonnegative"):
+            ranklevel_report(2, 3, [Weight.zero(2)], [Weight.zero(3)], ["0"])
+
 
 class TestBranchPairs:
     # sha256 over "r|s|Lambda|lam|mu|exponent|rule" lines for 2 <= r, s <= 3,
@@ -153,7 +176,7 @@ class TestBranchPairs:
                     rules = _rule_table(lab, r, s)
                     for t in branch_pairs(lab, r, s):
                         assert t.exponent == _ref_sewing(t.lam, t.mu, lab, r, s)
-                        assert (t.lam, t.mu) in rules
+                        assert (t.lam.d, t.mu.d) in rules
                         h.update(
                             f"{r}|{s}|{lab}|{t.lam}|{t.mu}|{t.exponent}|{t.rule}\n"
                             .encode()
@@ -226,7 +249,7 @@ class TestBranchPairs:
                     m = _ref_sewing(sigma(t.lam, 5), t.mu, twisted, r, s)
                     assert m.denominator == 1 and m >= 0, t
                 else:
-                    assert (sigma(t.lam, 5), t.mu) in rules, t
+                    assert (sigma(t.lam, 5).d, t.mu.d) in rules, t
 
 
 class TestRankLevelReports:
@@ -247,14 +270,20 @@ class TestRankLevelReports:
 
     @pytest.mark.parametrize("n, labels", [(1, ["d", "1"]), (2, ["d", "1"]), (3, ["d", "1"])])
     def test_work_guard_one_branch_list_per_lambda(self, monkeypatch, n, labels):
+        # one pass over the bullets of each distinct Lambda, and no Weight
+        # triples: a report never calls branch_pairs
         calls = []
-        real = branching.branch_pairs
+        real = branching._bullets
 
         def counted(Lambda, r, s):
             calls.append(Lambda)
             return real(Lambda, r, s)
 
-        monkeypatch.setattr(branching, "branch_pairs", counted)
+        def refused(*args):
+            raise AssertionError("a report built Weight triples")
+
+        monkeypatch.setattr(branching, "_bullets", counted)
+        monkeypatch.setattr(branching, "branch_pairs", refused)
         rep = ranklevel_example(n)
         assert calls == labels
         assert len(rep.certificates) == len(rep.Lambdas) > len(labels)
@@ -262,17 +291,18 @@ class TestRankLevelReports:
     def test_first_matching_rule_is_kept(self, monkeypatch):
         # a pair listed under two bullets is certified by the first, in the
         # report as in the rule table it reads
-        real = branching.branch_pairs
+        real = branching._bullets
 
         def listed_twice(Lambda, r, s):
-            tris = real(Lambda, r, s)
-            return tris + tuple(replace(t, rule="second") for t in tris)
+            bullets = list(real(Lambda, r, s))
+            return bullets + [(lam, mu, m, "second") for lam, mu, m, _rule in bullets]
 
-        monkeypatch.setattr(branching, "branch_pairs", listed_twice)
-        for t in real("1", 2, 2):
-            rep = ranklevel_report(2, 2, [t.lam], [t.mu], ["1"])
-            assert rep.certificates == (t.rule,)
-            assert _rule_table("1", 2, 2).get((t.lam, t.mu)) == t.rule
+        monkeypatch.setattr(branching, "_bullets", listed_twice)
+        for lam, mu, _m, rule in real("1", 2, 2):
+            source, target = Weight.from_dbl(lam), Weight.from_dbl(mu)
+            rep = ranklevel_report(2, 2, [source], [target], ["1"])
+            assert rep.certificates == (rule,)
+            assert _rule_table("1", 2, 2).get((lam, mu)) == rule
 
     def test_lambda_weight(self):
         assert lambda_weight("0", 12) == Weight.zero(12)

@@ -406,6 +406,40 @@ class TestCacheDeterminism:
         assert "bad cache line" in caplog.text
         assert bad not in path.read_text(encoding="utf-8")  # saved afresh
 
+    def test_a_warm_run_leaves_the_cache_files_untouched(self, capsys, monkeypatch, tmp_path):
+        from thetablocks import fusion
+
+        argv = ["ranklevel", "--example", "1", "--cache-dir", str(tmp_path)]
+        rc, cold = run(capsys, *argv)
+        assert rc == 0
+        paths = sorted(tmp_path.iterdir())
+        assert [p.name for p in paths] == ["B2_level7.fusion.txt", "B3_level5.fusion.txt"]
+        before = []
+        for path in paths:
+            os.utime(path, ns=(10 ** 9, 10 ** 9))
+            before.append(path.read_bytes())
+
+        def no_write(*args):
+            raise PermissionError("a warm run wrote its cache")
+
+        monkeypatch.setattr(fusion.os, "replace", no_write)
+        rc, warm = run(capsys, *argv)
+        assert (rc, warm) == (0, cold)
+        assert sorted(tmp_path.iterdir()) == paths
+        for path, blob in zip(paths, before):
+            assert path.read_bytes() == blob
+            assert path.stat().st_mtime_ns == 10 ** 9
+
+    @pytest.mark.parametrize("text", ["", "B 2 level 2 version 0\n", "B 2 level 2 version 1\nx\n"],
+                             ids=["empty", "other-version", "bad-line"])
+    def test_a_rejected_file_is_rewritten_without_new_rows(self, tmp_path, text):
+        path = tmp_path / "B2_level2.fusion.txt"
+        path.write_text(text, encoding="utf-8")
+        table = FusionTable(2, 2, str(tmp_path))
+        assert table._products == {}
+        table.save()
+        assert path.read_text(encoding="utf-8") == "B 2 level 2 version 1\n"
+
     def test_unusable_cache_dir_is_1(self, capsys, tmp_path):
         (tmp_path / "plain").write_text("")
         rc = main([
@@ -484,16 +518,26 @@ class TestStartUp:
         )
         assert _loaded(modules, *self.ENGINES) == set()
 
-    def test_theta_counts_loads_only_the_oracle(self):
+    def test_theta_counts_loads_no_engine(self):
         modules = _modules_after(
             "from thetablocks.cli import main\n"
             "assert main(['theta-counts', '--genus', '2']) == 0"
         )
-        assert "thetablocks.verlinde" in modules
-        assert _loaded(
-            modules, "thetablocks.fusion", "thetablocks.branching", "thetablocks.fock",
-            "mpmath",
-        ) == set()
+        assert "thetablocks.common" in modules
+        assert _loaded(modules, *self.ENGINES, "thetablocks.rootsys") == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["branch", "--r", "2", "--s", "3", "--Lambda", "1"],
+        ["sewing", "--r", "2", "--s", "3", "--Lambda", "1", "--weights", "1,0;1,0,0"],
+    ], ids=["branch", "sewing"])
+    def test_branch_and_sewing_load_no_fusion(self, argv):
+        modules = _modules_after(
+            "from thetablocks.cli import main\n"
+            f"assert main({argv!r}) == 0"
+        )
+        assert "thetablocks.branching" in modules
+        assert _loaded(modules, "thetablocks.fusion", "thetablocks.verlinde",
+                       "thetablocks.fock", "mpmath") == set()
 
     @pytest.mark.parametrize("argv", [
         ["oxbury", "--genus", "2", "--r", "2", "--s", "3"],

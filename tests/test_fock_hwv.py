@@ -9,13 +9,9 @@ import pytest
 from thetablocks.fock.hwv import ns_column_hwv, sigma_twist_hwv, so_pair_hwv, spin_hwv
 from thetablocks.fock.operators import apply_LR
 from thetablocks.rootsys import Weight
-from thetablocks.weights import (
-    sigma,
-    star,
-    transpose,
-    weight_of_young,
-    young_diagrams,
-)
+from thetablocks.weights import sigma, star, transpose, young_diagrams
+
+from reference import weight_of_young
 
 R_, S_ = 2, 2
 

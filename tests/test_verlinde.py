@@ -1,5 +1,6 @@
 import copy
 import itertools
+import time
 from fractions import Fraction
 from math import prod
 
@@ -7,6 +8,7 @@ import mpmath
 import pytest
 
 from thetablocks import verlinde
+from thetablocks.common import theta_counts
 from thetablocks.fusion import FusionTable
 from thetablocks.rootsys import Weight
 from thetablocks.verlinde import (
@@ -14,8 +16,10 @@ from thetablocks.verlinde import (
     MIN_PREC,
     PrecisionError,
     SMatrix,
+    _joined,
     _prime_below,
     _round_checked,
+    _signed_crt,
     _sine_table,
     _working_prec,
     certificate_primes,
@@ -24,7 +28,6 @@ from thetablocks.verlinde import (
     n0_oxbury,
     oxbury_check,
     s_matrix,
-    theta_counts,
     twisted_total,
 )
 from thetablocks.weights import enumerate_level, sigma
@@ -244,10 +247,42 @@ class TestCertificate:
             dim_trig(3, [], 2, 3)
 
     def test_an_off_by_one_oxbury_sum_is_refused(self, monkeypatch):
+        # a join one off is refused at the prime past the bound
         true = n0_oxbury(2, 2, 3)
-        monkeypatch.setattr(verlinde, "_round_checked", lambda value: true + 1)
+        monkeypatch.setattr(verlinde, "_signed_crt", lambda residues, primes: true + 1)
         with pytest.raises(PrecisionError, match="residue modulo the prime"):
             n0_oxbury(2, 2, 3)
+
+    def test_the_join_lifts_to_the_signed_range(self):
+        primes = certificate_primes(2, 3, 2 ** 100)
+        modulus = prod(primes)
+        for n in (0, 1, -1, -5, 2 ** 100, -(2 ** 100), modulus // 2, -(modulus // 2)):
+            assert _signed_crt([n % p for p in primes], primes) == n
+
+    def test_a_join_is_checked_at_the_prime_past_the_bound(self):
+        # x lies beyond the certificate's product, so its join wraps to 5,
+        # inside the bound: only the next prime sees it
+        bound = 2 ** 100
+        primes = certificate_primes(2, 3, bound)
+        x = prod(primes) + 5
+        assert _joined(bound, 2, 3, lambda res, p: 5 % p) == 5
+        with pytest.raises(PrecisionError, match="residue modulo the prime .* past the bound"):
+            _joined(bound, 2, 3, lambda res, p: x % p)
+
+    def test_a_join_beyond_the_bound_is_refused(self):
+        with pytest.raises(PrecisionError, match="joined value -7 exceeds the bound 6"):
+            _joined(6, 2, 3, lambda res, p: -7 % p)
+
+    def test_an_oxbury_bound_forced_too_small_is_refused(self, monkeypatch):
+        # N_3^0(so(5), 5) = 2723840 cannot be joined within a bound of 1000
+        assert n0_oxbury(3, 2, 5) == 2723840
+        monkeypatch.setattr(verlinde, "magnitude_bound", lambda *args: 1000)
+        with pytest.raises(PrecisionError):
+            n0_oxbury(3, 2, 5)
+        # g = 400: the true value has 800 bits, the forced bound 64
+        monkeypatch.setattr(verlinde, "magnitude_bound", lambda *args: 2 ** 64)
+        with pytest.raises(PrecisionError):
+            n0_oxbury(400, 2, 1)
 
     def test_a_value_beyond_the_bound_is_refused(self, monkeypatch):
         bound = magnitude_bound(3, [], 2, 3)
@@ -304,6 +339,13 @@ class TestOxbury:
     def test_n0_value(self):
         assert n0_oxbury(2, 2, 1) == 8
 
+    def test_genus_400_is_fast(self):
+        # the sum of sines this replaced took about 1.7 s here
+        start = time.perf_counter()
+        n0 = n0_oxbury(400, 2, 1)
+        assert n0 == twisted_total(400, 2, 1) // 2 == 2 ** 799
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("ell", [1, 3, 5, 7, 9])
     def test_matches_the_mpmath_sum(self, r, ell):
@@ -340,6 +382,26 @@ class TestOxbury:
         top = Weight.parse("5,0")
         fusion_sum = t.dim_genus_g(2, []) + t.dim_genus_g(2, [top])
         assert fusion_sum == twisted_total(2, 2, ell) == 2 * n0_oxbury(2, 2, ell)
+
+
+class TestHeadlineClaims:
+    """The paper's two claims at (r, s) = (2, 3): the vacuum blocks of
+    so(5) at level 7 and so(7) at level 5 differ in dimension (naive strange
+    duality fails), while the Oxbury-Wilson sums N_g^0 agree, each half the
+    twisted total of its side."""
+
+    VACUUM = {1: (36, 34), 2: (23232, 22458), 3: (178314112, 177541564)}
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_vacuum_dimensions_differ(self, g):
+        assert (dim_trig(g, [], 2, 7), dim_trig(g, [], 3, 5)) == self.VACUUM[g]
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_oxbury_wilson_sums_agree(self, g):
+        left, right = n0_oxbury(g, 2, 7), n0_oxbury(g, 3, 5)
+        assert left == right
+        assert twisted_total(g, 2, 7) == 2 * left
+        assert twisted_total(g, 3, 5) == 2 * right
 
 
 class TestThetaCounts:

@@ -15,11 +15,10 @@ from thetablocks.weights import (
     sigma,
     star,
     transpose,
-    weight_of_young,
     young_diagrams,
 )
 
-from reference import from_omega, omega_coords
+from reference import from_omega, omega_coords, weight_of_young
 
 
 class TestEnumerateLevel:
