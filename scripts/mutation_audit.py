@@ -195,6 +195,15 @@ MUTANTS = [
            "        return EXIT_UNREDUCIBLE\n",
            "        return EXIT_PARSE\n",
            "an unreducible Clifford evaluation exits 1 instead of 3"),
+    # the heap frozen at exit
+    Mutant("src/thetablocks/cli.py",
+           "    atexit.register(gc.freeze)\n",
+           "",
+           "a CLI process leaves its heap to the final collections"),
+    Mutant("src/thetablocks/cli.py",
+           "    atexit.register(gc.freeze)\n",
+           "    gc.freeze()\n",
+           "main freezes its in-process caller's heap at once"),
     # Fock sign conventions
     Mutant("src/thetablocks/fock/states.py",
            "    return image, (-1 if i & 1 else 1)\n",

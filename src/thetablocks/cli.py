@@ -8,6 +8,8 @@ argument parsing) loads no engine."""
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 from dataclasses import dataclass, field
@@ -365,6 +367,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # atexit hooks run before the interpreter's final collections, which then
+    # have no heap to walk: the OS frees it anyway at process exit
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -90,12 +90,15 @@ def _dual_oracle(ctx):
 
 
 def _bad_sewing(ctx):
-    from .branching import branch_pairs
+    """() once every bullet of B(0), B(1) and B(d) at (2,2) is listed:
+    `_bullets` raises `BranchingError` (exit 1) on a sewing exponent that is
+    not a nonnegative integer, so the row passes or raises."""
+    from .branching import _bullets
 
-    return tuple(
-        t for lab in ("0", "1", "d") for t in branch_pairs(lab, 2, 2)
-        if not (isinstance(t.exponent, int) and t.exponent >= 0)
-    )
+    for lab in ("0", "1", "d"):
+        for _ in _bullets(lab, 2, 2):
+            pass
+    return ()
 
 
 def _det(ctx):

@@ -16,6 +16,7 @@ from thetablocks.branching import (
     ranklevel_report,
     sewing_exponent,
 )
+from thetablocks.goldens import _bad_sewing
 from thetablocks.rootsys import Weight, _dbl_rho
 from thetablocks.weights import LevelError, enumerate_level, sigma, young_diagrams
 
@@ -160,6 +161,9 @@ class TestSewing:
             branch_pairs("0", 2, 3)
         with pytest.raises(BranchingError, match="is 1/2, not a nonnegative"):
             ranklevel_report(2, 3, [Weight.zero(2)], [Weight.zero(3)], ["0"])
+        # the paper-check row walks the same bullets at (2, 2)
+        with pytest.raises(BranchingError, match=r"\(1,0; 1,0; omega_0\) is 1/2, not"):
+            _bad_sewing(None)
 
 
 class TestBranchPairs:

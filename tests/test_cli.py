@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -477,14 +478,20 @@ class TestCacheDeterminism:
         assert FusionTable(2, 3, d)._products == want._products
 
 
-def _modules_after(code: str) -> set:
-    """The modules a fresh interpreter holds after running `code`."""
+def _python(code: str, **kwargs) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(thetablocks.__file__))
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), **kwargs,
     )
+
+
+def _modules_after(code: str) -> set:
+    """The modules a fresh interpreter holds after running `code`."""
+    proc = _python(code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))",
+                   check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -558,3 +565,35 @@ class TestStartUp:
             "assert main(argv) == 0"
         )
         assert "mpmath" in modules
+
+
+class TestExitFreeze:
+    """`main` has the heap frozen at exit, so the interpreter's final
+    collections walk nothing; it freezes nothing while its caller runs."""
+
+    def test_in_process_main_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["theta-counts", "--genus", "2"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_a_process_exits_frozen_with_its_report_and_cache(self, capsys, tmp_path):
+        argv = ["ranklevel", "--example", "1"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        (tmp_path / "proc").mkdir()
+        # a hook registered before main runs after main's own
+        proc = _python(
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+            "from thetablocks.cli import main\n"
+            f"sys.exit(main({argv!r}))",
+            cwd=tmp_path / "proc",
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == report + "frozen at exit: True\n"
+        cache = tmp_path / ".theta-blocks-cache"
+        files = sorted(f.name for f in cache.iterdir())
+        assert files
+        for name in files:
+            left = tmp_path / "proc" / ".theta-blocks-cache" / name
+            assert left.read_bytes() == (cache / name).read_bytes()

@@ -1,8 +1,10 @@
 import copy
+import importlib.util
 import itertools
 import time
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -402,6 +404,49 @@ class TestHeadlineClaims:
         assert left == right
         assert twisted_total(g, 2, 7) == 2 * left
         assert twisted_total(g, 3, 5) == 2 * right
+
+
+def _census_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "strange_duality_census.py"
+    spec = importlib.util.spec_from_file_location("strange_duality_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCensusScript:
+    """scripts/strange_duality_census.py on (r, s) = (2, 3), g <= 2."""
+
+    LINES = [
+        "(r,s,g)=(2,3,1)  dim 36 vs 34  N_g^0 20 vs 20  spin 16 / 14 = 1.143"
+        "  identity holds/holds",
+        "(r,s,g)=(2,3,2)  dim 23232 vs 22458  N_g^0 21000 vs 21000"
+        "  spin 2232 / 1458 = 1.531  identity holds/holds",
+    ]
+
+    def test_main_prints_the_table(self, capsys):
+        census = _census_script()
+        start = time.perf_counter()
+        assert census.main(3, 2) == 0
+        assert time.perf_counter() - start < 0.5
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == self.LINES
+        assert lines[2].startswith("2 cases: dims differ in 2, N_g^0 agrees in 2, "
+                                   "the identity holds on both sides in 2; ")
+
+    def test_a_disagreement_exits_2(self, capsys, monkeypatch):
+        census = _census_script()
+        monkeypatch.setattr(census, "n0_oxbury", lambda g, r, ell: r)
+        assert census.main(3, 1) == 2
+        out = capsys.readouterr().out
+        assert "N_g^0 2 vs 3  *** DIFFER" in out and "identity FAILS/FAILS" in out
+
+    @pytest.mark.parametrize("argv,want", [
+        ([], (5, 5)), (["3"], (3, 5)), (["4", "2"], (4, 2)),
+        (["2"], None), (["3", "0"], None), (["x"], None), (["3", "2", "1"], None),
+    ])
+    def test_arguments(self, argv, want):
+        assert _census_script()._parse_args(argv) == want
 
 
 class TestThetaCounts:
