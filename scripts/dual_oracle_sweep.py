@@ -3,7 +3,9 @@
 S-matrix oracle on every weight triple of the stated (rank, level) grid, then
 check the certified Oxbury-Wilson reciprocity
 N_g^0(so(2r+1), 2s+1) = N_g^0(so(2s+1), 2r+1) on the stated (r, s, genus)
-grid, printing the time and the number of residue primes of each case.
+grid, printing the time and the number of residue primes of each case.  The
+pairs have r < s: with r = s both sides are the same call, and (s, r)
+repeats (r, s) with its sides swapped.
 
 Usage: python scripts/dual_oracle_sweep.py [cache_dir]
 """
@@ -16,9 +18,9 @@ from thetablocks.fusion import FusionTable
 from thetablocks.verlinde import certificate_primes, dim_trig, magnitude_bound, oxbury_check
 
 GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
-# (r, s) pairs and genera of the reciprocity sweep; the trig sums alone
-# returned wrong integers here from g = 14 on
-OXBURY_RANKS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+# (r, s) pairs, r < s, and genera of the reciprocity sweep; the trig sums
+# alone once returned wrong integers on such a grid from g = 14 on
+OXBURY_RANKS = [(2, 3), (2, 4), (3, 4), (2, 5)]
 OXBURY_GENERA = range(1, 17)
 
 

@@ -164,6 +164,19 @@ MUTANTS = [
            "    if abs(n) > bound:\n        raise PrecisionError(f\"joined value",
            "    if abs(n) > 2 * bound:\n        raise PrecisionError(f\"joined value",
            "a CRT join above the magnitude bound is returned"),
+    # the one elimination of the S and residue rows
+    Mutant("src/thetablocks/verlinde.py",
+           "m[k], m[i], sign = m[i], m[k], -sign",
+           "m[k], m[i], sign = m[i], m[k], sign",
+           "a row swap in _det does not flip the sign"),
+    Mutant("src/thetablocks/verlinde.py",
+           "        prev = top[k]\n",
+           "",
+           "_det never updates the Bareiss divisor"),
+    Mutant("src/thetablocks/verlinde.py",
+           "        for i in range(k, n):\n            if m[i][k]:",
+           "        for i in range(k + 1, n):\n            if m[i][k]:",
+           "_det searches for a pivot from the row below the diagonal"),
     # branching
     Mutant("src/thetablocks/branching.py",
            "    if num < 0 or num % den:\n",

@@ -7,11 +7,12 @@ signed-permutation sum of the S-matrix factorizes as a determinant of sines,
     S_{lam,mu} = c * det[ sin(2 pi m_ij / 4k) ],   m_ij = X_i Y_j mod 4k,
 
 so every entry reads its r^2 sines from one table of 4k values.  The sines
-are fixed-point ints computed in integer arithmetic, the determinant is
-expanded exactly over its r! permutations (no pivoting, so a vanishing
-S_{lam,mu} is just a zero), and c = +-1/|row 0| is fixed by the vacuum row.
-A row is built when a sum first asks for it.  mpmath is imported only where
-an mpf is made: in the S-matrix rows and in the sum of `dim_trig`.
+are fixed-point ints computed in integer arithmetic, the determinant (of
+sines here, of residues below) is found exactly by fraction-free
+elimination, so a vanishing S_{lam,mu} is just a zero, and c = +-1/|row 0|
+is fixed by the vacuum row.  A row is built when a sum first asks for it.
+mpmath is imported only where an mpf is made: in the S-matrix rows and in
+the sum of `dim_trig`.
 
 The working precision, in bits, is chosen here and nowhere else: the bit
 length of an integer bound on the answer plus GUARD_BITS, and no less than
@@ -58,16 +59,6 @@ class PrecisionError(ArithmeticError):
 
 # -- rows of determinants read from one table of 4k values --------------------
 
-@lru_cache(maxsize=None)
-def _leibniz_terms(r: int) -> tuple:
-    """(sign, permutation) for each of the r! permutations of range(r)."""
-    out = []
-    for perm in itertools.permutations(range(r)):
-        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(r), 2))
-        out.append(((-1) ** inversions, perm))
-    return tuple(out)
-
-
 def _fixed_acot(n: int, one: int) -> int:
     """atan(1/n) * one by its Taylor series, each term truncated."""
     term = total = one // n
@@ -107,14 +98,24 @@ def _sine_table(q: int, bits: int) -> tuple:
 
 
 def _det(a):
-    """det a by the Leibniz expansion: no pivoting, exact on ints."""
-    total = 0
-    for sign, perm in _leibniz_terms(len(a)):
-        term = a[0][perm[0]]
-        for i in range(1, len(a)):
-            term *= a[i][perm[i]]
-        total = total + term if sign > 0 else total - term
-    return total
+    """det a by fraction-free (Bareiss) elimination, exact on ints: a zero
+    pivot swaps in a lower row, and a column of zeros gives 0."""
+    m = [list(row) for row in a]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n):
+        for i in range(k, n):
+            if m[i][k]:
+                break
+        else:
+            return 0
+        if i != k:
+            m[k], m[i], sign = m[i], m[k], -sign
+        top = m[k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = (row[j] * top[k] - row[k] * top[j]) // prev
+        prev = top[k]
+    return sign * prev
 
 
 class _Dets:
@@ -156,21 +157,18 @@ class SMatrix(_Dets):
         self.rank, self.level, self.prec = r, ell, prec
         q = 4 * (ell + 2 * r - 1)
         super().__init__(r, ell, _sine_table(q, prec + SINE_GUARD_BITS))
+        vacuum = self.weights[0]
+        raw = self._raw_row(vacuum)
         with mpmath.workprec(prec):
-            vacuum = self.weights[0]
-            raw = self._raw_row(vacuum)
             c = 1 / mpmath.sqrt(sum(v * v for v in raw))
             self._c = c if raw[0] > 0 else -c
-            self._rows[vacuum] = self._finished(raw)
+        self._rows[vacuum] = self._finished(raw)
 
-    def row(self, w: Weight) -> tuple:
+    def _finished(self, dets: list) -> tuple:
         import mpmath
 
         with mpmath.workprec(self.prec):
-            return super().row(w)
-
-    def _finished(self, dets: list) -> tuple:
-        return tuple(self._c * v for v in dets)
+            return tuple(self._c * v for v in dets)
 
 
 @lru_cache(maxsize=None)

@@ -82,6 +82,25 @@ def n0_oxbury(g: int, r: int, ell: int):
         return n, float(abs(total - n))
 
 
+def det_fraction(a) -> int:
+    """det a of an int matrix by Gaussian elimination over Fraction, each
+    pivot the entry of largest absolute value in its column."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if not m[p][k]:
+            return 0
+        if p != k:
+            m[k], m[p], det = m[p], m[k], -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    assert det.denominator == 1
+    return det.numerator
+
+
 def doubled(coords) -> tuple:
     """Twice each of any rational L-coordinates (not necessarily those of a
     dominant weight), as ints."""

@@ -74,6 +74,13 @@ class TestSubcommands:
         assert rc == 0
         assert f"dim     : {2 ** 2649 * (2 ** 2650 + 1)}" in out.splitlines()
 
+    def test_dim_trig_at_rank_12(self, capsys):
+        # each S entry a 12 x 12 determinant, which 12! terms would not finish
+        rc, out = run(capsys, "dim", "--genus", "1", "--rank", "12", "--level", "1",
+                      "--method", "trig", "--cache-dir", "")
+        assert rc == 0
+        assert "dim     : 3" in out.splitlines()
+
     def test_ranklevel_examples(self, capsys):
         for n in (1, 2, 3):
             rc, blob = run_json(capsys, "ranklevel", "--example", str(n))

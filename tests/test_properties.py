@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetablocks.fock.algebra import bracket, invariant_form
@@ -11,9 +11,10 @@ from thetablocks.fock.operators import BilinearOp, apply_bilinear
 from thetablocks.fock.states import FockState, FockVector, NS
 from thetablocks.fusion import FusionTable
 from thetablocks.rootsys import _weight_multiplicities_dbl, fold_shifted, weyl_dim
+from thetablocks.verlinde import _det
 from thetablocks.weights import enumerate_level, sigma, star, young_diagrams
 
-from reference import doubled, orbit_size
+from reference import det_fraction, doubled, orbit_size
 
 _TABLES = {}
 
@@ -123,6 +124,65 @@ class TestFusionProperties:
         direct = t.dim_genus_g(1, [lam])
         by_sum = sum(t.dim_genus0([lam, mu, mu]) for mu in ws)
         assert direct == by_sum
+
+
+# the sine rows hold ints of about 2^240 at the working precision's floor
+SINE_SCALE = 1 << 240
+
+
+@st.composite
+def int_matrices(draw):
+    """Square int matrices of size 1-6 whose entries are small, of any size
+    up to the sine scale, or within 8 of +-SINE_SCALE."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-SINE_SCALE, SINE_SCALE),
+        st.builds(lambda sign, d: sign * (SINE_SCALE - d),
+                  st.sampled_from((1, -1)), st.integers(0, 8)),
+    )
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+
+class TestDetProperties:
+    """verlinde._det, the one elimination of the S and residue rows, against
+    Gaussian elimination over Fraction."""
+
+    @given(int_matrices())
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    @example([[2, 0, 0], [0, 0, 3], [0, 5, 0]])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_elimination(self, a):
+        before = [list(row) for row in a]
+        assert _det(a) == det_fraction(a)
+        assert a == before
+
+    @given(int_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_a_zero_pivot_at_each_position(self, a):
+        # the leading (k+1)-minor vanishes, so the k-th pivot is 0: the corner
+        # at k = 0, else row k repeating row 0 on the first k + 1 columns
+        for k in range(len(a)):
+            b = [list(row) for row in a]
+            if k:
+                b[k][:k + 1] = b[0][:k + 1]
+            else:
+                b[0][0] = 0
+            assert _det(b) == det_fraction(b), k
+
+    @given(int_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_zero_column_or_two_equal_rows_give_0(self, a, data):
+        n = len(a)
+        c = data.draw(st.integers(0, n - 1))
+        assert _det([row[:c] + [0] + row[c + 1:] for row in a]) == 0
+        if n > 1:
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+            b = [list(row) for row in a]
+            b[j] = list(b[i])
+            assert _det(b) == 0 == det_fraction(b)
 
 
 IDX = [(j, p) for j in range(-2, 3) for p in range(-2, 3)]

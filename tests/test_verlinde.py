@@ -11,7 +11,7 @@ import pytest
 
 from thetablocks import verlinde
 from thetablocks.common import theta_counts
-from thetablocks.fusion import FusionTable
+from thetablocks.fusion import FusionTable, LevelOneTable
 from thetablocks.rootsys import Weight
 from thetablocks.verlinde import (
     GUARD_BITS,
@@ -384,6 +384,26 @@ class TestOxbury:
         top = Weight.parse("5,0")
         fusion_sum = t.dim_genus_g(2, []) + t.dim_genus_g(2, [top])
         assert fusion_sum == twisted_total(2, 2, ell) == 2 * n0_oxbury(2, 2, ell)
+
+
+class TestHighRank:
+    """Level one at ranks whose r x r determinants an r!-term expansion could
+    not reach: the trig oracle against the closed-form ring, and the
+    Oxbury-Wilson sums."""
+
+    @pytest.mark.parametrize("r", [9, 12, 20])
+    def test_level_one_dims_and_oxbury_sums(self, r):
+        ring = LevelOneTable(r)
+        for g in range(4):
+            for n in (0, 2, 4):
+                for w in ring.weights():
+                    lams = [w] * n
+                    assert dim_trig(g, lams, r, 1) == ring.dim_genus_g(g, lams), (g, n, w)
+        for g in (1, 2, 3):
+            assert n0_oxbury(g, r, 1) == 2 ** (2 * g - 1)
+
+    def test_oxbury_check_at_ranks_2_and_9(self):
+        assert oxbury_check(2, 2, 9).equal
 
 
 class TestHeadlineClaims:
