@@ -98,8 +98,8 @@ def _derived_state(sector: str, wedge: tuple[Gen, ...], dual: bool, energy2: int
     return state
 
 
-def vacuum(sector: str, dual: bool = False) -> FockState:
-    return FockState(sector, (), dual)
+def vacuum(sector: str) -> FockState:
+    return FockState(sector, ())
 
 
 class FockVector:

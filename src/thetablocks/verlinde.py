@@ -1,33 +1,37 @@
-"""High-precision trigonometric Verlinde oracle for so(2r+1) at level ell,
-with every integer it returns certified exactly modulo primes.
+"""Trigonometric Verlinde oracle for so(2r+1) at level ell: every integer it
+returns is joined by CRT from its exact residues modulo primes, and the
+high-precision sum of S-matrix rows only confirms it.
 
-With k = ell + 2r - 1 and X = 2(lam+rho), Y = 2(mu+rho) as doubled ints, the
-signed-permutation sum of the S-matrix factorizes as a determinant of sines,
-
-    S_{lam,mu} = c * det[ sin(2 pi m_ij / 4k) ],   m_ij = X_i Y_j mod 4k,
-
-so every entry reads its r^2 sines from one table of 4k values.  The sines
-are fixed-point ints computed in integer arithmetic, the determinant (of
-sines here, of residues below) is found exactly by fraction-free
-elimination, so a vanishing S_{lam,mu} is just a zero, and c = +-1/|row 0|
-is fixed by the vacuum row.  A row is built when a sum first asks for it.
-mpmath is imported only where an mpf is made: in the S-matrix rows and in
-the sum of `dim_trig`.
-
-The working precision, in bits, is chosen here and nowhere else: the bit
-length of an integer bound on the answer plus GUARD_BITS, and no less than
-MIN_PREC.  The rounded integer is checked against its exact residues modulo
-primes p = 1 (mod 4k).  Over F_p the sine determinant becomes
-E_{lam,mu} = det[z^m - z^-m] for a primitive 4k-th root of unity z, which is
-(2i)^r times the sine determinant, and the Verlinde number is
+Over F_p, p = 1 (mod 4k) with k = ell + 2r - 1, and with X = 2(lam+rho),
+Y = 2(mu+rho) as doubled ints, the signed-permutation sum of the S-matrix
+becomes E_{lam,mu} = det[z^m - z^-m], m_ij = X_i Y_j mod 4k, for a primitive
+4k-th root of unity z, and the Verlinde number is
 
     N = (sum_mu E_{0mu}^2)^(g-1) * sum_mu E_{0mu}^(2-2g-n) prod_i E_{lam_i mu},
 
 the normalization and its sign entering only squared.  This is an identity
 in Z[zeta_4k, 1/2] (Kac-Peterson, Adv. Math. 53, 1984; Coste-Gannon, Phys.
-Lett. B 323, 1994), so it holds under every ring map to F_p.  The
-Oxbury-Wilson sums over SO-weights live here too; they evaluate no sine at
-all, being joined by CRT from the same residues.
+Lett. B 323, 1994), so it holds under every ring map to F_p.  The residues
+modulo primes whose product exceeds twice an integer bound on |N| fix N;
+`_residue_sum` is the one place the formula is written, for `dim_trig` over
+every column and for the Oxbury-Wilson sums of `n0_oxbury` over the
+SO-weights.  `n0_oxbury` evaluates no sine at all.
+
+`dim_trig` then confirms its join by the same sum over the reals.  There E is
+(2i)^r times the sine determinant, so
+
+    S_{lam,mu} = c * det[ sin(2 pi m_ij / 4k) ],
+
+and every entry reads its r^2 sines from one table of 4k values.  The sines
+are fixed-point ints computed in integer arithmetic, the determinant (of
+sines here, of residues above) is found exactly by fraction-free
+elimination, so a vanishing S_{lam,mu} is just a zero, and c = +-1/|row 0|
+is fixed by the vacuum row.  A row is built when a sum first asks for it.
+The working precision, in bits, is chosen here and nowhere else: the bit
+length of the integer bound plus GUARD_BITS, and no less than MIN_PREC.  A
+sum farther than DEFAULT_TOL from the joined integer raises PrecisionError.
+mpmath is imported only where an mpf is made: in the S-matrix rows and in
+the sum of `dim_trig`.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class PrecisionError(ArithmeticError):
-    """A trig sum failed to round to an integer within tolerance, or the
-    integer disagrees with its exact residues."""
+    """An integer joined from its residues lies beyond its bound or disagrees
+    with one more residue, or the trig sum lies beyond tolerance from it."""
 
 
 # -- rows of determinants read from one table of 4k values --------------------
@@ -266,15 +270,52 @@ def certificate_primes(r: int, ell: int, bound: int) -> list[int]:
     return primes
 
 
-def _certified(n: int, bound: int, r: int, ell: int, residue) -> int:
-    """n, once it lies within the bound and equals residue(E, p) modulo each
-    certificate prime p, E being the residue rows mod p; else PrecisionError."""
+def _residue_sum(res: _Residues, p: int, g: int, lams, columns) -> int:
+    """(sum_mu E_{0mu}^2)^(g-1) * sum over the columns mu of
+    E_{0mu}^(2-2g-n) prod_i E_{lam_i mu}, mod p: the Verlinde number of the
+    weights lams at genus g, summed over the given columns only."""
+    e_rows = [res.row(w) for w in lams]
+    power = 2 - 2 * g - len(e_rows)
+    total = 0
+    for j in columns:
+        term = pow(res.vacuum[j], power, p)
+        for row in e_rows:
+            term = term * row[j] % p
+        total += term
+    return pow(res.norm, g - 1, p) * total % p
+
+
+def _signed_crt(residues, primes) -> int:
+    """The integer n with -M/2 < n <= M/2, M the product of the primes, that
+    is congruent to each residue modulo its prime (Garner's join)."""
+    n, modulus = 0, 1
+    for a, p in zip(residues, primes):
+        n += modulus * ((a - n) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return n - modulus if n > modulus // 2 else n
+
+
+def _join(primes, bound: int, r: int, ell: int, residue) -> int:
+    """The integer of absolute value at most bound that equals residue(E, p)
+    modulo each of the primes, E being the residue rows mod p, joined by CRT.
+    The primes' product must exceed 2 * bound; a join beyond the bound raises
+    PrecisionError."""
+    n = _signed_crt([residue(_residues(r, ell, p), p) for p in primes], primes)
     if abs(n) > bound:
-        raise PrecisionError(f"trig value {n} exceeds the bound {bound}")
-    for p in certificate_primes(r, ell, bound):
-        if residue(_residues(r, ell, p), p) != n % p:
-            raise PrecisionError(f"trig value {n} disagrees with its exact "
-                                 f"residue modulo the prime {p}")
+        raise PrecisionError(f"joined value {n} exceeds the bound {bound}")
+    return n
+
+
+def _joined(bound: int, r: int, ell: int, residue) -> int:
+    """`_join` over the certificate primes of the bound, checked against
+    residue(E, p) at the next good prime too, else PrecisionError: a bound
+    too small to fix the integer is refused, not wrapped."""
+    primes = certificate_primes(r, ell, bound)
+    n = _join(primes, bound, r, ell, residue)
+    p = next(itertools.islice(_good_primes(r, ell), len(primes), None))
+    if residue(_residues(r, ell, p), p) != n % p:
+        raise PrecisionError(f"joined value {n} disagrees with its exact "
+                             f"residue modulo the prime {p} past the bound")
     return n
 
 
@@ -302,22 +343,11 @@ def _working_prec(bound: int) -> int:
     return max(MIN_PREC, bound.bit_length() + GUARD_BITS)
 
 
-def _round_checked(value) -> int:
-    """The integer nearest value (an mpf or a Fraction), when it lies within
-    DEFAULT_TOL of it."""
-    n = int(value)  # exact, toward zero; round() takes an mpf through a float
-    if abs(value - n) > 0.5:
-        n += 1 if value > n else -1
-    residual = abs(value - n)
-    if residual > DEFAULT_TOL:
-        raise PrecisionError(f"rounding residual {float(residual):.8g} "
-                             f"exceeds tolerance {DEFAULT_TOL}")
-    return n
-
-
 def dim_trig(g: int, lams, r: int, ell: int) -> int:
-    """Verlinde dimension sum(mu) S_{0mu}^{2-2g-n} prod_i S_{lam_i,mu}, at the
-    working precision of its magnitude bound, certified modulo primes."""
+    """Verlinde dimension sum(mu) S_{0mu}^{2-2g-n} prod_i S_{lam_i,mu}, joined
+    by `_join` from its exact residues modulo primes, then confirmed by the
+    sum of S rows at the working precision of its magnitude bound: a float
+    sum farther than DEFAULT_TOL from the join raises PrecisionError."""
     import mpmath
 
     if g < 0:
@@ -326,6 +356,10 @@ def dim_trig(g: int, lams, r: int, ell: int) -> int:
     for w in lams:
         check_weight(w, r, ell)
     bound = magnitude_bound(g, lams, r, ell)
+    columns = range(len(enumerate_level(r, ell)))
+    primes = certificate_primes(r, ell, bound)
+    n = _join(primes, bound, r, ell,
+              lambda res, p: _residue_sum(res, p, g, lams, columns))
     sm = s_matrix(r, ell, _working_prec(bound))
     vacuum = sm.row(sm.weights[0])
     rows = [sm.row(w) for w in lams]
@@ -333,47 +367,13 @@ def dim_trig(g: int, lams, r: int, ell: int) -> int:
     with mpmath.workprec(sm.prec):
         total = mpmath.fsum(
             (vacuum[j] ** power) * mpmath.fprod(row[j] for row in rows)
-            for j in range(len(sm.weights))
+            for j in columns
         )
-        n = _round_checked(total)
-
-    def residue(res, p):
-        e_rows = [res.row(w) for w in lams]
-        total = 0
-        for j, e in enumerate(res.vacuum):
-            term = pow(e, power, p)
-            for row in e_rows:
-                term = term * row[j] % p
-            total += term
-        return pow(res.norm, g - 1, p) * total % p
-
-    return _certified(n, bound, r, ell, residue)
-
-
-def _signed_crt(residues, primes) -> int:
-    """The integer n with -M/2 < n <= M/2, M the product of the primes, that
-    is congruent to each residue modulo its prime (Garner's join)."""
-    n, modulus = 0, 1
-    for a, p in zip(residues, primes):
-        n += modulus * ((a - n) * pow(modulus, -1, p) % p)
-        modulus *= p
-    return n - modulus if n > modulus // 2 else n
-
-
-def _joined(bound: int, r: int, ell: int, residue) -> int:
-    """The integer of absolute value at most bound that equals residue(E, p)
-    modulo each certificate prime p, E being the residue rows mod p, joined by
-    CRT.  It must lie within the bound and equal residue(E, p) at the next
-    good prime too, else PrecisionError: a bound too small to fix the integer
-    is refused, not wrapped."""
-    primes = certificate_primes(r, ell, bound)
-    n = _signed_crt([residue(_residues(r, ell, p), p) for p in primes], primes)
-    if abs(n) > bound:
-        raise PrecisionError(f"joined value {n} exceeds the bound {bound}")
-    p = next(itertools.islice(_good_primes(r, ell), len(primes), None))
-    if residue(_residues(r, ell, p), p) != n % p:
-        raise PrecisionError(f"joined value {n} disagrees with its exact "
-                             f"residue modulo the prime {p} past the bound")
+        residual = abs(total - n)
+    if residual > DEFAULT_TOL:
+        raise PrecisionError(f"trig sum {mpmath.nstr(total, 15)} lies "
+                             f"{float(residual):.8g} from the joined value {n}, "
+                             f"beyond the tolerance {DEFAULT_TOL}")
     return n
 
 
@@ -393,12 +393,9 @@ def n0_oxbury(g: int, r: int, ell: int) -> int:
     if g < 1:
         raise ValueError("n0_oxbury needs g >= 1")
 
-    def residue(res, p):
-        total = sum(pow(e, 2 - 2 * g, p)
-                    for w, e in zip(res.weights, res.vacuum) if w.is_so)
-        return pow(res.norm, g - 1, p) * total % p
-
-    return _joined(magnitude_bound(g, [], r, ell), r, ell, residue)
+    so = [j for j, w in enumerate(enumerate_level(r, ell)) if w.is_so]
+    return _joined(magnitude_bound(g, [], r, ell), r, ell,
+                   lambda res, p: _residue_sum(res, p, g, [], so))
 
 
 def twisted_total(g: int, r: int, ell: int) -> int:

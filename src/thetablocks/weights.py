@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .rootsys import Weight, require_rank
 
@@ -40,23 +41,11 @@ def enumerate_level(r: int, ell: int) -> tuple[Weight, ...]:
     ell2 = 2 * ell
 
     def family(shift: int) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-
-        def rec(prefix: list[int]):
-            i = len(prefix)
-            if i == r:
-                out.append(tuple(prefix))
-                return
-            if i == 0:
-                hi = ell2 - shift  # b2 >= shift, so b1 <= ell - shift
-            elif i == 1:
-                hi = min(prefix[0], ell2 - prefix[0])
-            else:
-                hi = prefix[-1]
-            for v in range(shift, hi + 1, 2):
-                rec(prefix + [v])
-        rec([])
-        return sorted(out)
+        # weakly decreasing doubled coordinates with d1 + d2 <= 2 ell, all
+        # even (shift 0, the SO weights) or all odd (shift 1, the spin ones)
+        coords = range(ell2 - shift, shift - 1, -2)
+        return sorted(t for t in combinations_with_replacement(coords, r)
+                      if t[0] + t[1] <= ell2)
 
     return tuple(Weight.from_dbl(d) for d in family(0) + family(1))
 

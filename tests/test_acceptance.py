@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-Tolerances are pinned here: trig rounding residuals at 1e-6 (the engine's
-DEFAULT_TOL, which raises beyond it), everything else exact integer or
-Q[sqrt(2)] arithmetic.  Stated runtime budgets are asserted.  A criterion
+Tolerances are pinned here: the trig confirmation at 1e-6 (the engine's
+DEFAULT_TOL: dim_trig joins its integer from exact residues, then raises if
+its trig sum lies farther than that from it), everything else exact integer
+or Q[sqrt(2)] arithmetic.  Stated runtime budgets are asserted.  A criterion
 that is also a row of the golden-number table (`thetablocks.goldens`) runs
 that row and reads its wanted value from there, inside the criterion's
 budget.
@@ -126,7 +127,7 @@ def test_acceptance_04_failure_examples_cold_cache(tmp_path):
 
 def test_acceptance_05_dual_oracle_equivalence():
     started = time.monotonic()
-    assert DEFAULT_TOL == 1e-6  # the pinned trig rounding tolerance
+    assert DEFAULT_TOL == 1e-6  # the pinned trig confirmation tolerance
     checked = 0
     for r, lmax in ((2, 4), (3, 3)):
         for ell in range(1, lmax + 1):

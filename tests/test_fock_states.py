@@ -221,9 +221,9 @@ class TestCliffordApply:
 
     def test_dual_realization_roles(self):
         # in the dual realization positive zero modes create
-        v = clifford_apply((0, 1, 1), FockVector.unit(vacuum(R, dual=True)))
+        v = clifford_apply((0, 1, 1), FockVector.unit(FockState(R, (), True)))
         assert v == FockVector.unit(FockState(R, ((0, 1, 1),), dual=True))
-        assert not clifford_apply((0, -1, -1), FockVector.unit(vacuum(R, dual=True)))
+        assert not clifford_apply((0, -1, -1), FockVector.unit(FockState(R, (), True)))
 
     def test_anticommutator_is_pairing(self):
         # {phi^a(m), phi^b(-m)} = delta_{a+b,0} on arbitrary states
@@ -411,7 +411,7 @@ class TestDerivedStates:
 def _reference_wedge_vector(sector, dual, gens) -> FockVector:
     """The generators applied right to left to the vacuum, one Clifford
     action each."""
-    v = FockVector.unit(vacuum(sector, dual))
+    v = FockVector.unit(FockState(sector, (), dual))
     for g in reversed(list(gens)):
         v = clifford_apply(g, v)
     return v

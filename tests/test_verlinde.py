@@ -20,7 +20,6 @@ from thetablocks.verlinde import (
     SMatrix,
     _joined,
     _prime_below,
-    _round_checked,
     _signed_crt,
     _sine_table,
     _working_prec,
@@ -201,6 +200,18 @@ class TestDimTrig:
             dim_trig(-1, lams, 2, 3)
 
 
+def _forced_dim_trig(monkeypatch, g, r, ell, join, shift):
+    """dim_trig(g, [], r, ell) with its CRT join forced to `join` and its
+    float sum moved from the true value to join + shift, shift a decimal."""
+    true = dim_trig(g, [], r, ell)
+    real = mpmath.fsum
+    with monkeypatch.context() as m:
+        m.setattr(verlinde, "_signed_crt", lambda residues, primes: join)
+        m.setattr(mpmath, "fsum",
+                  lambda terms: real(terms) + (join - true) + mpmath.mpf(shift))
+        return dim_trig(g, [], r, ell)
+
+
 # the rings where mpmath.det crashed on a vanishing S entry
 CRASH_RINGS = [(3, 9), (3, 10), (4, 7), (4, 8), (4, 11)]
 
@@ -210,24 +221,19 @@ class TestCertificate:
     def test_crash_rings_sum_to_one_at_genus_zero(self, r, ell):
         assert dim_trig(0, [], r, ell) == 1
 
-    def test_rounding_refuses_a_residual_of_1e_4(self):
-        with mpmath.workdps(50):
-            assert _round_checked(mpmath.mpf(5) + mpmath.mpf("1e-9")) == 5
-            with pytest.raises(PrecisionError, match="rounding residual"):
-                _round_checked(mpmath.mpf(5) + mpmath.mpf("1e-4"))
-            with pytest.raises(PrecisionError, match="rounding residual"):
-                _round_checked(mpmath.mpf(5) - mpmath.mpf("1e-4"))
+    def test_a_float_sum_1e_4_off_the_join_is_refused(self, monkeypatch):
+        assert _forced_dim_trig(monkeypatch, 3, 2, 3, 16864, "1e-9") == 16864
+        for shift in ("1e-4", "-1e-4"):
+            with pytest.raises(PrecisionError, match="from the joined value 16864"):
+                _forced_dim_trig(monkeypatch, 3, 2, 3, 16864, shift)
 
-    def test_rounding_is_exact_beyond_a_float(self):
+    def test_the_confirmation_is_exact_beyond_a_float(self, monkeypatch):
         big = 8822744214291785516496941747113937474450549755813888
-        with mpmath.workdps(80):
-            assert _round_checked(mpmath.mpf(big) + mpmath.mpf("1e-9")) == big
-            assert _round_checked(mpmath.mpf(big) - mpmath.mpf("1e-9")) == big
-            assert _round_checked(mpmath.mpf(-5) - mpmath.mpf("1e-9")) == -5
-        assert _round_checked(Fraction(big * 10 ** 9 - 1, 10 ** 9)) == big
-        assert _round_checked(Fraction(-5 * 10 ** 9 + 1, 10 ** 9)) == -5
-        with pytest.raises(PrecisionError, match="rounding residual"):
-            _round_checked(Fraction(big * 10 ** 4 + 1, 10 ** 4))
+        for shift in ("1e-9", "-1e-9"):
+            assert _forced_dim_trig(monkeypatch, 14, 3, 5, big, shift) == big
+            assert _forced_dim_trig(monkeypatch, 3, 2, 3, -5, shift) == -5
+        with pytest.raises(PrecisionError, match="beyond the tolerance"):
+            _forced_dim_trig(monkeypatch, 14, 3, 5, big, "1e-4")
 
     def test_a_residue_table_finds_its_root_of_unity_once(self, monkeypatch):
         calls = []
@@ -242,10 +248,11 @@ class TestCertificate:
         verlinde._Residues(2, 3, p)
         assert calls == [(24, p)]
 
-    def test_an_off_by_one_rounding_is_refused(self, monkeypatch):
-        # 16863 passes every float check once rounding is forced
-        monkeypatch.setattr(verlinde, "_round_checked", lambda value: 16863)
-        with pytest.raises(PrecisionError, match="residue modulo the prime"):
+    def test_a_join_one_off_is_refused_by_the_confirmation(self, monkeypatch):
+        # 16863 lies within the bound; only the float sum, near 16864, refuses it
+        assert dim_trig(3, [], 2, 3) == 16864
+        monkeypatch.setattr(verlinde, "_signed_crt", lambda residues, primes: 16863)
+        with pytest.raises(PrecisionError, match="from the joined value 16863"):
             dim_trig(3, [], 2, 3)
 
     def test_an_off_by_one_oxbury_sum_is_refused(self, monkeypatch):
@@ -288,8 +295,8 @@ class TestCertificate:
 
     def test_a_value_beyond_the_bound_is_refused(self, monkeypatch):
         bound = magnitude_bound(3, [], 2, 3)
-        monkeypatch.setattr(verlinde, "_round_checked", lambda value: bound + 1)
-        with pytest.raises(PrecisionError, match="exceeds the bound"):
+        monkeypatch.setattr(verlinde, "_signed_crt", lambda residues, primes: bound + 1)
+        with pytest.raises(PrecisionError, match=f"joined value {bound + 1} exceeds the bound"):
             dim_trig(3, [], 2, 3)
 
     @pytest.mark.parametrize("g,lams,r,ell", [
