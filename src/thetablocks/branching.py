@@ -4,10 +4,10 @@ sewing exponents, and rank-level comparison reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
-from .rootsys import Weight, _dbl_rho, require_rank
+from .rootsys import Frozen, Weight, _dbl_rho, require_rank
 from .weights import LevelError, check_weight, star, transpose, young_diagrams
 
 LAMBDA_LABELS = ("0", "1", "d")
@@ -17,14 +17,25 @@ class BranchingError(ValueError):
     """Inconsistent branching data (bad exponent or inadmissible pair)."""
 
 
-@dataclass(frozen=True)
-class EmbeddingParams:
-    r: int
-    s: int
+class EmbeddingParams(Frozen):
+    __slots__ = ("r", "s")
 
-    def __post_init__(self):
-        require_rank(self.r)
-        require_rank(self.s, "s")
+    def __init__(self, r: int, s: int):
+        require_rank(r)
+        require_rank(s, "s")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.r, self.s) == (other.r, other.s)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.s))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(r={self.r!r}, s={self.s!r})"
 
     @property
     def d(self) -> int:
@@ -76,15 +87,34 @@ def lambda_weight(label: str, d: int) -> Weight:
     return Weight.from_dbl(_lambda_dbl(label, d))
 
 
-@dataclass(frozen=True)
-class BranchTriple:
-    """An admissible (lam, mu, Lambda) with its sewing exponent."""
+class BranchTriple(Frozen):
+    """An admissible (lam, mu, Lambda) with its sewing exponent; the `rule`
+    that admits it takes no part in equality or hashing."""
 
-    lam: Weight
-    mu: Weight
-    Lambda: str
-    exponent: int
-    rule: str = field(default="", compare=False)
+    __slots__ = ("lam", "mu", "Lambda", "exponent", "rule")
+
+    def __init__(self, lam: Weight, mu: Weight, Lambda: str, exponent: int, rule: str = ""):
+        setattr_ = object.__setattr__
+        setattr_(self, "lam", lam)
+        setattr_(self, "mu", mu)
+        setattr_(self, "Lambda", Lambda)
+        setattr_(self, "exponent", exponent)
+        setattr_(self, "rule", rule)
+
+    def _key(self) -> tuple:
+        return self.lam, self.mu, self.Lambda, self.exponent
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(lam={self.lam!r}, mu={self.mu!r}, "
+                f"Lambda={self.Lambda!r}, exponent={self.exponent!r}, rule={self.rule!r})")
 
 
 def sewing_exponent(lam: Weight, mu: Weight, Lambda: str, r: int, s: int) -> int:
@@ -182,17 +212,10 @@ def _rule_table(Lambda: str, r: int, s: int) -> dict:
     return rules
 
 
-@dataclass
-class RankLevelReport:
-    r: int
-    s: int
-    source: tuple[Weight, ...]
-    target: tuple[Weight, ...]
-    Lambdas: tuple[str, ...]
-    dim_source: int
-    dim_target: int
-    dim_level1: int
-    certificates: tuple[str, ...]
+# source and target are tuples of Weight, Lambdas of labels, certificates of
+# the rule (or the failed check) of each point
+RankLevelReport = namedtuple("RankLevelReport", (
+    "r s source target Lambdas dim_source dim_target dim_level1 certificates"))
 
 
 def ranklevel_report(
@@ -247,12 +270,10 @@ def ranklevel_report(
     )
 
 
-def _w(text: str) -> Weight:
-    return Weight.parse(text)
-
-
-# Bundled rank-level comparison configurations.  Each has a one-dimensional
-# level-one block, so the rank-level map is defined up to scalar, and the
+# Bundled rank-level comparison configurations.  Their weights are kept as
+# ';'-separated text and parsed only when the example runs, so importing
+# this module builds no `Weight`.  Each has a one-dimensional level-one
+# block, so the rank-level map is defined up to scalar, and the
 # source/target dimensions differ (their golden dimensions are the
 # "rank-level failure example" rows of `goldens.GOLDENS`).  Configuration 1
 # passes the strict bullet-admissibility check; 2 and 3 are evaluated with
@@ -262,24 +283,24 @@ RANKLEVEL_EXAMPLES = {
     1: dict(
         r=2,
         s=3,
-        source=(_w("5/2,1/2"), _w("5/2,1/2"), _w("1,0"), _w("1,0")),
-        target=(_w("5/2,3/2,3/2"), _w("5/2,3/2,3/2"), _w("1,0,0"), _w("1,0,0")),
+        source="5/2,1/2; 5/2,1/2; 1,0; 1,0",
+        target="5/2,3/2,3/2; 5/2,3/2,3/2; 1,0,0; 1,0,0",
         Lambdas=("d", "d", "1", "1"),
         strict=True,
     ),
     2: dict(
         r=3,
         s=4,
-        source=(_w("5/2,5/2,3/2"), _w("5/2,5/2,3/2"), _w("2,1,0")),
-        target=(_w("7/2,5/2,5/2,1/2"), _w("7/2,5/2,5/2,1/2"), _w("2,1,0,0")),
+        source="5/2,5/2,3/2; 5/2,5/2,3/2; 2,1,0",
+        target="7/2,5/2,5/2,1/2; 7/2,5/2,5/2,1/2; 2,1,0,0",
         Lambdas=("d", "d", "1"),
         strict=False,
     ),
     3: dict(
         r=4,
         s=3,
-        source=(_w("5/2,5/2,3/2,3/2"), _w("5/2,5/2,3/2,3/2"), _w("3,2,1,1")),
-        target=(_w("9/2,5/2,1/2"), _w("9/2,5/2,1/2"), _w("3,2,1")),
+        source="5/2,5/2,3/2,3/2; 5/2,5/2,3/2,3/2; 3,2,1,1",
+        target="9/2,5/2,1/2; 9/2,5/2,1/2; 3,2,1",
         Lambdas=("d", "d", "1"),
         strict=False,
     ),
@@ -293,8 +314,8 @@ def ranklevel_example(n: int, cache_dir: str | None = None) -> RankLevelReport:
     return ranklevel_report(
         cfg["r"],
         cfg["s"],
-        cfg["source"],
-        cfg["target"],
+        [Weight.parse(part) for part in cfg["source"].split(";")],
+        [Weight.parse(part) for part in cfg["target"].split(";")],
         cfg["Lambdas"],
         cache_dir=cache_dir,
         strict=cfg["strict"],

@@ -12,7 +12,7 @@ have 209 distinct complements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .blocks import PSI, PSITILDE, evaluate_block
@@ -58,13 +58,9 @@ def _representative(comp: tuple[int, ...]) -> tuple[YoungDiagram, int]:
     return YoungDiagram(tuple(s0 - c for c in comp)), s0
 
 
-@dataclass
-class RankLevelMatrix:
-    y: YoungDiagram
-    r: int
-    s: int
-    entries: tuple[tuple[QSqrt2, QSqrt2], tuple[QSqrt2, QSqrt2]]
-    determinant: QSqrt2
+# the matrix of Y in the r x (s-1) box: entries ((a11, a12), (a21, a22)) and
+# their determinant, in Q[sqrt2]
+RankLevelMatrix = namedtuple("RankLevelMatrix", "y r s entries determinant")
 
 
 @lru_cache(maxsize=256)  # holds the 209 complements of r <= 5, s <= 6

@@ -10,12 +10,13 @@ The root data, the Weyl dimension and every routine below `Weight` work on
 they stay in integer arithmetic.  `Weight` is the Fraction boundary: it
 validates its coordinates on their doubled ints and carries them as `w.d`,
 which is what the engines read; `Weight.from_dbl` builds one from them.
+`Weight` hashes, compares and orders on `d`; `Fraction` coordinates are kept
+for parse and print.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,21 +34,54 @@ def require_rank(r: int, name: str = "r") -> None:
         )
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
+# Fractions are immutable, so weights share the coordinates they are built from
+@lru_cache(maxsize=1024)
+def _half(x: int) -> Fraction:
+    return Fraction(x, 2)
+
+
+@lru_cache(maxsize=1024)
+def _fraction(text: str) -> Fraction:
+    return Fraction(text)
+
+
+class Frozen:
+    """Base of the immutable slotted value classes: their `__init__` fills
+    the slots through `object.__setattr__`, and afterwards assigning or
+    deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle hand back (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Weight(Frozen):
     """A dominant weight of so(2r+1) in L-coordinates; `d` holds the doubled
-    coordinates (ints), set once the coordinates pass validation."""
+    coordinates (ints), set once the coordinates pass validation.  Equality,
+    order and hash read `d` only."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords", "d", "_hash")
 
-    def __post_init__(self):
-        cs = self.coords
-        if len(cs) < 2:
-            require_rank(len(cs))
+    def __init__(self, coords: tuple[Fraction, ...]):
         # floor(2c): exact for integral and half-odd c, and it keeps the sign
-        # of any rational c; the order of other rationals is checked on cs
-        d = tuple(2 * c.numerator // c.denominator for c in cs)
-        halves = all(c.denominator <= 2 for c in cs)
+        # of any rational c; the order of other rationals is checked on coords
+        d = tuple(2 * c.numerator // c.denominator for c in coords)
+        self._admit(coords, d, all(c.denominator <= 2 for c in coords))
+
+    def _admit(self, cs, d, halves: bool) -> None:
+        """Validate the coordinates cs with doubled floors d (exact when
+        halves, every denominator at most 2) and fill the slots."""
+        if len(d) < 2:
+            require_rank(len(d))
         if min(d) < 0:
             raise ValueError(f"not dominant (negative coordinate): {cs}")
         keys = d if halves else cs
@@ -55,16 +89,43 @@ class Weight:
             raise ValueError(f"not dominant (coordinates increase): {cs}")
         if not halves or len({x & 1 for x in d}) > 1:
             raise ValueError(f"coordinates must be all integral or all half-odd: {cs}")
-        object.__setattr__(self, "d", d)
+        setattr_ = object.__setattr__
+        setattr_(self, "coords", cs)
+        setattr_(self, "d", d)
+        # weights key every fusion row: hash the int tuple once per object
+        setattr_(self, "_hash", hash(d))
+
+    # d is 2 * coords, so comparing d compares coords
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d == other.d
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d < other.d
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d <= other.d
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d > other.d
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d >= other.d
+        return NotImplemented
 
     def __hash__(self) -> int:
-        # weights key every fusion row, and Fraction hashing is slow: hash
-        # the (immutable) coordinates once per object
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.coords)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(coords={self.coords!r})"
 
     @property
     def rank(self) -> int:
@@ -82,8 +143,12 @@ class Weight:
 
     @classmethod
     def from_dbl(cls, d) -> "Weight":
-        """The weight with doubled coordinates d, validated like any other."""
-        return cls(tuple(Fraction(x, 2) for x in d))
+        """The weight with doubled coordinates d (ints), validated like any
+        other, on the ints themselves."""
+        d = tuple(d)
+        w = cls.__new__(cls)
+        w._admit(tuple(map(_half, d)), d, True)
+        return w
 
     @classmethod
     def zero(cls, r: int) -> "Weight":
@@ -104,7 +169,7 @@ class Weight:
     @classmethod
     def parse(cls, text: str) -> "Weight":
         """Parse comma-separated L-coordinates, halves written as "k/2"."""
-        return cls(tuple(Fraction(part.strip()) for part in text.split(",")))
+        return cls(tuple(_fraction(part.strip()) for part in text.split(",")))
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coords)

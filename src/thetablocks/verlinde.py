@@ -37,7 +37,7 @@ the sum of `dim_trig`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import prod
 
@@ -52,6 +52,10 @@ MIN_PREC = 169
 GUARD_BITS = 56  # working bits beyond those of the magnitude bound
 SINE_GUARD_BITS = 64  # fixed-point bits of the sine table beyond the working ones
 PRIME_TOP = 2 ** 61  # the residue primes are the largest ones below this
+# Residue norms and vacuum entries are images of nonzero algebraic integers,
+# so they vanish modulo finitely many primes only: a longer run of such primes
+# than this means the residues are wrong, and raises PrecisionError.
+MAX_SKIPPED_PRIMES = 64
 # Miller-Rabin with these bases is deterministic below 3.3e24
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -248,14 +252,23 @@ def _residues(r: int, ell: int, p: int) -> _Residues:
 
 def _good_primes(r: int, ell: int):
     """The primes p = 1 (mod 4k) below PRIME_TOP, largest first, skipping a
-    prime where sum_mu E_{0mu}^2 or some E_{0mu} vanishes."""
+    prime where sum_mu E_{0mu}^2 or some E_{0mu} vanishes; more than
+    MAX_SKIPPED_PRIMES skipped in a row raise PrecisionError."""
     q = 4 * (ell + 2 * r - 1)
     p = PRIME_TOP
+    skipped = 0
     while True:
         p = _prime_below(q, p)
         res = _residues(r, ell, p)
         if res.norm and all(res.vacuum):
+            skipped = 0
             yield p
+        else:
+            skipped += 1
+            if skipped > MAX_SKIPPED_PRIMES:
+                raise PrecisionError(
+                    f"the residues of so({2 * r + 1}) at level {ell} vanish modulo "
+                    f"{skipped} primes in a row, down to {p}")
 
 
 def certificate_primes(r: int, ell: int, bound: int) -> list[int]:
@@ -407,14 +420,7 @@ def twisted_total(g: int, r: int, ell: int) -> int:
     return vac + twisted
 
 
-@dataclass(frozen=True)
-class OxburyReport:
-    g: int
-    r: int
-    s: int
-    lhs: int
-    rhs: int
-    equal: bool
+OxburyReport = namedtuple("OxburyReport", "g r s lhs rhs equal")
 
 
 def oxbury_check(g: int, r: int, s: int) -> OxburyReport:

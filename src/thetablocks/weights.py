@@ -3,11 +3,10 @@ and Young-diagram calculus (transpose, box complement, star)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .rootsys import Weight, require_rank
+from .rootsys import Frozen, Weight, require_rank
 
 
 class LevelError(ValueError):
@@ -59,20 +58,30 @@ def sigma(lam: Weight, ell: int) -> Weight:
 
 # -- Young diagrams -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class YoungDiagram:
+class YoungDiagram(Frozen):
     """Weakly decreasing row lengths; trailing zeros normalized away."""
 
-    rows: tuple[int, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rs = self.rows
-        if any(a < 0 for a in rs):
-            raise ValueError(f"negative row length: {rs}")
-        if any(rs[i] < rs[i + 1] for i in range(len(rs) - 1)):
-            raise ValueError(f"rows must weakly decrease: {rs}")
-        if rs and rs[-1] == 0:
-            object.__setattr__(self, "rows", tuple(a for a in rs if a > 0))
+    def __init__(self, rows: tuple[int, ...]):
+        if any(a < 0 for a in rows):
+            raise ValueError(f"negative row length: {rows}")
+        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+            raise ValueError(f"rows must weakly decrease: {rows}")
+        if rows and rows[-1] == 0:
+            rows = tuple(a for a in rows if a > 0)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(rows={self.rows!r})"
 
     @property
     def size(self) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 from thetablocks import branching
 from thetablocks.branching import (
+    BranchTriple,
     BranchingError,
     EmbeddingParams,
     _anomaly,
@@ -61,6 +62,16 @@ class TestEmbedding:
         assert p.d == 17
         assert p.levels == (7, 5)
         assert (2 * 2 + 1) * (2 * 3 + 1) == 2 * p.d + 1
+
+    def test_value_semantics(self):
+        p = EmbeddingParams(2, 3)
+        assert p == EmbeddingParams(2, 3) and hash(p) == hash(EmbeddingParams(2, 3))
+        assert p != EmbeddingParams(3, 2) and p != (2, 3)
+        assert repr(p) == "EmbeddingParams(r=2, s=3)"
+        with pytest.raises(AttributeError):
+            p.r = 3
+        with pytest.raises(AttributeError):
+            del p.s
 
     @pytest.mark.parametrize("r,s", [(2, 2), (2, 3), (3, 4), (4, 3), (5, 2)])
     def test_conformal(self, r, s):
@@ -188,6 +199,15 @@ class TestBranchPairs:
                         n += 1
         assert n == 230
         assert h.hexdigest() == self.PINNED
+
+    def test_equality_ignores_the_rule(self):
+        t = branch_pairs("1", 2, 2)[0]
+        other = BranchTriple(t.lam, t.mu, t.Lambda, t.exponent, "another rule")
+        assert t == other and hash(t) == hash(other)
+        assert t != BranchTriple(t.lam, t.mu, t.Lambda, t.exponent + 1, t.rule)
+        assert t != BranchTriple(t.lam, t.mu, "0", t.exponent, t.rule)
+        with pytest.raises(AttributeError):
+            t.rule = "another rule"
 
     def test_bad_label_fails(self):
         with pytest.raises(ValueError, match="Lambda label must be one of"):

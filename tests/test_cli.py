@@ -565,6 +565,25 @@ class TestStartUp:
         assert "thetablocks.verlinde" in modules
         assert _loaded(modules, "mpmath") == set()
 
+    def test_importing_the_engines_builds_no_weight(self):
+        # every Weight passes Weight._admit, whichever constructor made it
+        proc = _python(
+            "from thetablocks import rootsys\n"
+            "admit, built = rootsys.Weight._admit, []\n"
+            "def counted(self, *args):\n"
+            "    built.append(args[1])\n"
+            "    admit(self, *args)\n"
+            "rootsys.Weight._admit = counted\n"
+            "import thetablocks.branching, thetablocks.verlinde\n"
+            "import thetablocks.weights, thetablocks.fock\n"
+            "print(len(built))\n"
+            "rootsys.Weight.parse('1,0')\n"
+            "rootsys.Weight.from_dbl((1, 1))\n"
+            "print(len(built))",
+            check=True,
+        )
+        assert proc.stdout.split() == ["0", "2"]
+
     def test_the_trig_sum_loads_mpmath(self):
         modules = _modules_after(
             "from thetablocks.cli import main\n"

@@ -1,7 +1,12 @@
+import copy
 import itertools
+import operator
+import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetablocks.rootsys import (
     RankError,
@@ -120,6 +125,67 @@ class TestWeight:
                     assert w.d == tuple(int(2 * c) for c in w.coords)
                     assert Weight.from_dbl(w.d) == w
                     assert Weight.parse(str(w)) == w
+
+
+@st.composite
+def valid_weights(draw):
+    """A dominant weight of rank 2..5 with small coordinates, so that equal
+    and neighbouring weights are drawn often."""
+    r = draw(st.integers(2, 5))
+    spin = draw(st.integers(0, 1))
+    xs = sorted(draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)), reverse=True)
+    return Weight.from_dbl(tuple(2 * x + spin for x in xs))
+
+
+class TestWeightValueSemantics:
+    """Weight compares, orders and hashes on d, which agrees with coords."""
+
+    @given(valid_weights(), valid_weights())
+    @settings(max_examples=200, deadline=None)
+    def test_eq_and_order_follow_coords(self, a, b):
+        assert (a == b) == (a.coords == b.coords)
+        assert (a != b) == (a.coords != b.coords)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            assert op(a, b) == op(a.coords, b.coords), op
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(valid_weights())
+    @settings(max_examples=100, deadline=None)
+    def test_every_constructor_gives_an_equal_weight(self, w):
+        for twin in (Weight(w.coords), Weight.from_dbl(w.d), Weight.parse(str(w))):
+            assert twin == w and hash(twin) == hash(w)
+            assert (twin.coords, twin.d) == (w.coords, w.d)
+
+    @given(valid_weights())
+    @settings(max_examples=50, deadline=None)
+    def test_immutable(self, w):
+        for name in ("coords", "d", "rank", "other"):
+            with pytest.raises(AttributeError):
+                setattr(w, name, (F(1), F(0)))
+            with pytest.raises(AttributeError):
+                delattr(w, name)
+        assert Weight.from_dbl(w.d) == w
+
+    def test_the_hash_separates_the_weights_of_a_ring(self):
+        # the weights key every fusion row: equal hashes would collide there
+        for r, ell in ((2, 7), (3, 5), (4, 4)):
+            ws = enumerate_level(r, ell)
+            assert len({hash(w) for w in ws}) == len(ws)
+
+    def test_other_types_are_not_equal_or_ordered(self):
+        w = Weight.parse("1,0")
+        assert w != (F(1), F(0)) and w != (2, 0)
+        with pytest.raises(TypeError):
+            w < (2, 0)
+
+    def test_repr(self):
+        assert repr(Weight.parse("5/2,1/2")) == "Weight(coords=(Fraction(5, 2), Fraction(1, 2)))"
+
+    def test_copy_and_pickle_round_trip(self):
+        w = Weight.parse("5/2,1/2")
+        for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert twin == w and hash(twin) == hash(w) and twin.coords == w.coords
 
 
 class TestWeylDim:

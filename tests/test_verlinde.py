@@ -329,6 +329,21 @@ class TestCertificate:
         assert primes[0] == _prime_below(24, first)
         assert dim_trig(3, [], 2, 3) == 16864
 
+    def test_residues_vanishing_at_every_prime_are_refused_fast(self, monkeypatch):
+        # with every determinant 0 no prime is good: the search gives up
+        # after MAX_SKIPPED_PRIMES bad primes in a row instead of running on
+        verlinde._residues.cache_clear()
+        monkeypatch.setattr(verlinde, "_det", lambda a: 0)
+        skipped = verlinde.MAX_SKIPPED_PRIMES + 1
+        try:
+            for query in (lambda: dim_trig(3, [], 2, 3), lambda: n0_oxbury(3, 2, 3)):
+                t0 = time.perf_counter()
+                with pytest.raises(PrecisionError, match=f"{skipped} primes in a row"):
+                    query()
+                assert time.perf_counter() - t0 < 1.0
+        finally:
+            verlinde._residues.cache_clear()
+
     def test_genus14_oxbury_sums_are_exact(self):
         # the trig sums read ...9999856 and ...9999472 before the certificate
         want_n0 = 8822744214291785506549208294720000000000000000000000

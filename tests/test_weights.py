@@ -2,6 +2,8 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetablocks.branching import sewing_exponent
 from thetablocks.fusion import FusionTable, LevelOneTable
@@ -186,6 +188,27 @@ class TestYoungCalculus:
         assert YoungDiagram((3, 1, 0, 0)).rows == (3, 1)
         with pytest.raises(ValueError):
             YoungDiagram((1, 2))
+
+    @given(st.lists(st.integers(0, 3), max_size=4), st.lists(st.integers(0, 3), max_size=4),
+           st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_value_semantics(self, a, b, zeros):
+        ya = YoungDiagram(tuple(sorted(a, reverse=True)))
+        yb = YoungDiagram(tuple(sorted(b, reverse=True)))
+        assert (ya == yb) == (ya.rows == yb.rows)
+        padded = YoungDiagram(ya.rows + (0,) * zeros)
+        assert padded.rows == ya.rows and 0 not in padded.rows
+        assert padded == ya and hash(padded) == hash(ya)
+
+    def test_repr_and_immutability(self):
+        y = YoungDiagram((3, 1, 0))
+        assert repr(y) == "YoungDiagram(rows=(3, 1))"
+        assert y != (3, 1)
+        with pytest.raises(AttributeError):
+            y.rows = (2,)
+        with pytest.raises(AttributeError):
+            del y.rows
+        assert y.rows == (3, 1)
 
 
 class TestSigmaOrbits:
