@@ -3,8 +3,8 @@
 tables.  For each 2 <= r < s <= rmax and 1 <= g <= gmax, with the left side
 so(2r+1) at level 2s+1 and the right side so(2s+1) at level 2r+1, print
 
-* both vacuum dimensions dim V_g (`dim_trig(g, [], ...)`), which naive
-  strange duality would make equal;
+* both vacuum dimensions dim V_g (`verlinde_dims(g, [[]], ...)`, exact over
+  F_p), which naive strange duality would make equal;
 * both Oxbury-Wilson sums N_g^0 (`n0_oxbury`), which the paper proves equal;
 * both spin parts dim V_g - N_g^0 (the sum over spin weights mu of
   S_{0mu}^(2-2g)) and their ratio, left over right;
@@ -22,7 +22,7 @@ import sys
 import time
 from fractions import Fraction
 
-from thetablocks.verlinde import dim_trig, n0_oxbury, twisted_total
+from thetablocks.verlinde import n0_oxbury, twisted_total, verlinde_dims
 
 
 USAGE = ("usage: python scripts/strange_duality_census.py [rmax] [gmax]"
@@ -32,7 +32,8 @@ USAGE = ("usage: python scripts/strange_duality_census.py [rmax] [gmax]"
 def _side(g: int, r: int, ell: int) -> tuple[int, int, bool]:
     """(dim V_g, N_g^0, whether twisted_total == 2 N_g^0) of so(2r+1) at ell."""
     n0 = n0_oxbury(g, r, ell)
-    return dim_trig(g, [], r, ell), n0, twisted_total(g, r, ell) == 2 * n0
+    [dim] = verlinde_dims(g, [[]], r, ell)
+    return dim, n0, twisted_total(g, r, ell) == 2 * n0
 
 
 def main(rmax: int = 5, gmax: int = 5) -> int:

@@ -6,15 +6,14 @@ so importing this module loads none."""
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
-from typing import Any, Callable, NamedTuple
 
-
-class Context(NamedTuple):
-    table: Any  # the so(5) level-3 FusionTable of the dual-oracle row
-    cache_dir: str | None
+# table: the so(5) level-3 FusionTable of the dual-oracle row
+Context = namedtuple("Context", "table cache_dir")
 
 
 def context(cache_dir: str | None = None) -> Context:
@@ -26,8 +25,8 @@ def context(cache_dir: str | None = None) -> Context:
 @dataclass(frozen=True)
 class Golden:
     name: str
-    compute: Callable[[Context], Any]
-    want: Any
+    compute: Callable[[Context], object]
+    want: object
 
 
 def _omega1(g, ctx):
@@ -77,16 +76,16 @@ def _ranklevel(n, ctx):
 
 
 def _dual_oracle(ctx):
-    """The triples on which the exact table and the trig oracle disagree.
-    Both engines are symmetric in the three weights (the S3 symmetry of
+    """The triples on which the Kac-Walton table and the Verlinde formula
+    over F_p disagree, every triple joined at once by `verlinde_dims`.  Both
+    are symmetric in the three weights (the S3 symmetry of
     FusionTable.triple is tested), so the unordered triples cover the set."""
-    from .verlinde import dim_trig
+    from .verlinde import verlinde_dims
 
     tab = ctx.table
-    return tuple(
-        t for t in combinations_with_replacement(tab.weights(), 3)
-        if tab.triple(*t) != dim_trig(0, t, tab.rank, tab.level)
-    )
+    triples = list(combinations_with_replacement(tab.weights(), 3))
+    dims = verlinde_dims(0, triples, tab.rank, tab.level)
+    return tuple(t for t, n in zip(triples, dims) if tab.triple(*t) != n)
 
 
 def _bad_sewing(ctx):

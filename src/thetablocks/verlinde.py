@@ -13,9 +13,11 @@ the normalization and its sign entering only squared.  This is an identity
 in Z[zeta_4k, 1/2] (Kac-Peterson, Adv. Math. 53, 1984; Coste-Gannon, Phys.
 Lett. B 323, 1994), so it holds under every ring map to F_p.  The residues
 modulo primes whose product exceeds twice an integer bound on |N| fix N;
-`_residue_sum` is the one place the formula is written, for `dim_trig` over
-every column and for the Oxbury-Wilson sums of `n0_oxbury` over the
-SO-weights.  `n0_oxbury` evaluates no sine at all.
+`_residue_sums` is the one place the formula is written, for a batch of
+queries at once: for `verlinde_dims` and `dim_trig` over every column and for
+the Oxbury-Wilson sums of `n0_oxbury` over the SO-weights.  `verlinde_dims`
+joins many values under one bound and `n0_oxbury` one; neither evaluates a
+sine.
 
 `dim_trig` then confirms its join by the same sum over the reals.  There E is
 (2i)^r times the sine determinant, so
@@ -40,6 +42,7 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 from math import prod
+from operator import mul
 
 from .rootsys import Weight, _dbl_rho, require_rank, weyl_dim
 from .weights import check_weight, enumerate_level, sigma
@@ -283,19 +286,31 @@ def certificate_primes(r: int, ell: int, bound: int) -> list[int]:
     return primes
 
 
-def _residue_sum(res: _Residues, p: int, g: int, lams, columns) -> int:
-    """(sum_mu E_{0mu}^2)^(g-1) * sum over the columns mu of
-    E_{0mu}^(2-2g-n) prod_i E_{lam_i mu}, mod p: the Verlinde number of the
-    weights lams at genus g, summed over the given columns only."""
-    e_rows = [res.row(w) for w in lams]
-    power = 2 - 2 * g - len(e_rows)
-    total = 0
-    for j in columns:
-        term = pow(res.vacuum[j], power, p)
-        for row in e_rows:
-            term = term * row[j] % p
-        total += term
-    return pow(res.norm, g - 1, p) * total % p
+def _residue_sums(res: _Residues, p: int, g: int, queries, columns) -> list:
+    """For each list lams of n weights in queries, (sum_mu E_{0mu}^2)^(g-1)
+    * sum over the columns mu of E_{0mu}^(2-2g-n) prod_i E_{lam_i mu}, mod p:
+    the Verlinde numbers at genus g, summed over the given columns only (a
+    range or a set of indices).  The column factors E_{0mu}^(2-2g-n), 0 off
+    the columns, are computed once per n, not once per query, and a query
+    whose n and weights but the last match the query before it reuses their
+    product."""
+    norm = pow(res.norm, g - 1, p)
+    factors, out = {}, []
+    head = prefix = None
+    for lams in queries:
+        n = len(lams)
+        if (n, lams[:-1]) != head:
+            head = (n, lams[:-1])
+            prefix = factors.get(n)
+            if prefix is None:
+                power = 2 - 2 * g - n
+                prefix = factors[n] = [pow(e, power, p) if j in columns else 0
+                                       for j, e in enumerate(res.vacuum)]
+            for w in lams[:-1]:
+                prefix = list(map(mul, prefix, res.row(w)))
+        terms = map(mul, prefix, res.row(lams[-1])) if lams else prefix
+        out.append(norm * sum(terms) % p)
+    return out
 
 
 def _signed_crt(residues, primes) -> int:
@@ -308,28 +323,32 @@ def _signed_crt(residues, primes) -> int:
     return n - modulus if n > modulus // 2 else n
 
 
-def _join(primes, bound: int, r: int, ell: int, residue) -> int:
-    """The integer of absolute value at most bound that equals residue(E, p)
-    modulo each of the primes, E being the residue rows mod p, joined by CRT.
-    The primes' product must exceed 2 * bound; a join beyond the bound raises
-    PrecisionError."""
-    n = _signed_crt([residue(_residues(r, ell, p), p) for p in primes], primes)
+def _join(primes, bound: int, r: int, ell: int, g: int, queries, columns) -> list:
+    """The integers of absolute value at most bound that equal the
+    `_residue_sums` of the queries modulo each of the primes, each joined by
+    CRT.  The primes' product must exceed 2 * bound; a join beyond the bound
+    raises PrecisionError."""
+    per_prime = [_residue_sums(_residues(r, ell, p), p, g, queries, columns)
+                 for p in primes]
+    values = [_signed_crt(column, primes) for column in zip(*per_prime)]
+    n = max(values, key=abs, default=0)
     if abs(n) > bound:
         raise PrecisionError(f"joined value {n} exceeds the bound {bound}")
-    return n
+    return values
 
 
-def _joined(bound: int, r: int, ell: int, residue) -> int:
-    """`_join` over the certificate primes of the bound, checked against
-    residue(E, p) at the next good prime too, else PrecisionError: a bound
-    too small to fix the integer is refused, not wrapped."""
+def _joined(bound: int, r: int, ell: int, g: int, queries, columns) -> list:
+    """`_join` over the certificate primes of the bound, checked against the
+    residue sums at the next good prime too, else PrecisionError: a bound
+    too small to fix an integer is refused, not wrapped."""
     primes = certificate_primes(r, ell, bound)
-    n = _join(primes, bound, r, ell, residue)
+    values = _join(primes, bound, r, ell, g, queries, columns)
     p = next(itertools.islice(_good_primes(r, ell), len(primes), None))
-    if residue(_residues(r, ell, p), p) != n % p:
-        raise PrecisionError(f"joined value {n} disagrees with its exact "
-                             f"residue modulo the prime {p} past the bound")
-    return n
+    for n, a in zip(values, _residue_sums(_residues(r, ell, p), p, g, queries, columns)):
+        if a != n % p:
+            raise PrecisionError(f"joined value {n} disagrees with its exact "
+                                 f"residue modulo the prime {p} past the bound")
+    return values
 
 
 # -- precision from an integer magnitude bound --------------------------------
@@ -371,8 +390,7 @@ def dim_trig(g: int, lams, r: int, ell: int) -> int:
     bound = magnitude_bound(g, lams, r, ell)
     columns = range(len(enumerate_level(r, ell)))
     primes = certificate_primes(r, ell, bound)
-    n = _join(primes, bound, r, ell,
-              lambda res, p: _residue_sum(res, p, g, lams, columns))
+    [n] = _join(primes, bound, r, ell, g, [lams], columns)
     sm = s_matrix(r, ell, _working_prec(bound))
     vacuum = sm.row(sm.weights[0])
     rows = [sm.row(w) for w in lams]
@@ -406,18 +424,31 @@ def n0_oxbury(g: int, r: int, ell: int) -> int:
     if g < 1:
         raise ValueError("n0_oxbury needs g >= 1")
 
-    so = [j for j, w in enumerate(enumerate_level(r, ell)) if w.is_so]
-    return _joined(magnitude_bound(g, [], r, ell), r, ell,
-                   lambda res, p: _residue_sum(res, p, g, [], so))
+    so = {j for j, w in enumerate(enumerate_level(r, ell)) if w.is_so}
+    [n] = _joined(magnitude_bound(g, [], r, ell), r, ell, g, [[]], so)
+    return n
+
+
+def verlinde_dims(g: int, queries, r: int, ell: int) -> list[int]:
+    """[dim V_g(lams) for lams in queries], queries a list of weight
+    sequences, for so(2r+1) at level ell: each weight admitted once, all
+    joined by `_joined` under the largest magnitude bound of the queries.  No
+    sine is evaluated."""
+    require_rank(r)
+    if g < 0:
+        raise ValueError("genus must be >= 0")
+    for w in dict.fromkeys(itertools.chain.from_iterable(queries)):
+        check_weight(w, r, ell)
+    bound = max([magnitude_bound(g, lams, r, ell) for lams in queries], default=0)
+    columns = range(len(enumerate_level(r, ell)))
+    return _joined(bound, r, ell, g, queries, columns)
 
 
 def twisted_total(g: int, r: int, ell: int) -> int:
     """dim V_{omega_0} + dim V_{ell*omega_1} at genus g (one marked point
     carries ell*omega_1); equals 2 * n0_oxbury by the character-sign collapse."""
     top = sigma(Weight.zero(r), ell)  # ell * omega_1
-    vac = dim_trig(g, [], r, ell)
-    twisted = dim_trig(g, [top], r, ell)
-    return vac + twisted
+    return sum(verlinde_dims(g, [[], [top]], r, ell))
 
 
 OxburyReport = namedtuple("OxburyReport", "g r s lhs rhs equal")

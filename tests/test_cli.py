@@ -485,20 +485,21 @@ class TestCacheDeterminism:
         assert FusionTable(2, 3, d)._products == want._products
 
 
-def _python(code: str, **kwargs) -> subprocess.CompletedProcess:
-    """`code` run by a fresh interpreter that imports this checkout's package."""
+def _python(code: str, *flags: str, **kwargs) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter, given the interpreter flags, that
+    imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(thetablocks.__file__))
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), **kwargs,
     )
 
 
-def _modules_after(code: str) -> set:
+def _modules_after(code: str, *flags: str) -> set:
     """The modules a fresh interpreter holds after running `code`."""
     proc = _python(code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))",
-                   check=True)
+                   *flags, check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -564,6 +565,16 @@ class TestStartUp:
         )
         assert "thetablocks.verlinde" in modules
         assert _loaded(modules, "mpmath") == set()
+
+    def test_paper_check_loads_neither_mpmath_nor_typing(self, tmp_path):
+        # -S: without site nothing loads typing before the program does
+        modules = _modules_after(
+            "from thetablocks.cli import main\n"
+            f"assert main(['paper-check', '--cache-dir', {str(tmp_path)!r}]) == 0",
+            "-S",
+        )
+        assert "thetablocks.verlinde" in modules
+        assert _loaded(modules, "mpmath", "typing") == set()
 
     def test_importing_the_engines_builds_no_weight(self):
         # every Weight passes Weight._admit, whichever constructor made it

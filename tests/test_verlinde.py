@@ -30,6 +30,7 @@ from thetablocks.verlinde import (
     oxbury_check,
     s_matrix,
     twisted_total,
+    verlinde_dims,
 )
 from thetablocks.weights import enumerate_level, sigma
 
@@ -212,6 +213,14 @@ def _forced_dim_trig(monkeypatch, g, r, ell, join, shift):
         return dim_trig(g, [], r, ell)
 
 
+def _joined_of(monkeypatch, bound, *values):
+    """`_joined` at so(5) level 3 with the residue sums forced to the given
+    integers modulo every prime."""
+    monkeypatch.setattr(verlinde, "_residue_sums",
+                        lambda res, p, g, queries, columns: [v % p for v in values])
+    return _joined(bound, 2, 3, 0, [], range(0))
+
+
 # the rings where mpmath.det crashed on a vanishing S entry
 CRASH_RINGS = [(3, 9), (3, 10), (4, 7), (4, 8), (4, 11)]
 
@@ -268,19 +277,25 @@ class TestCertificate:
         for n in (0, 1, -1, -5, 2 ** 100, -(2 ** 100), modulus // 2, -(modulus // 2)):
             assert _signed_crt([n % p for p in primes], primes) == n
 
-    def test_a_join_is_checked_at_the_prime_past_the_bound(self):
+    def test_a_join_is_checked_at_the_prime_past_the_bound(self, monkeypatch):
         # x lies beyond the certificate's product, so its join wraps to 5,
         # inside the bound: only the next prime sees it
         bound = 2 ** 100
         primes = certificate_primes(2, 3, bound)
         x = prod(primes) + 5
-        assert _joined(bound, 2, 3, lambda res, p: 5 % p) == 5
-        with pytest.raises(PrecisionError, match="residue modulo the prime .* past the bound"):
-            _joined(bound, 2, 3, lambda res, p: x % p)
+        assert _joined_of(monkeypatch, bound, 5) == [5]
+        with pytest.raises(PrecisionError, match="value 5 disagrees .* past the bound"):
+            _joined_of(monkeypatch, bound, x)
+        # a batch is refused when any one of its values wraps
+        assert _joined_of(monkeypatch, bound, 1, 5, 2) == [1, 5, 2]
+        with pytest.raises(PrecisionError, match="value 5 disagrees .* past the bound"):
+            _joined_of(monkeypatch, bound, 1, x, 2)
 
-    def test_a_join_beyond_the_bound_is_refused(self):
+    def test_a_join_beyond_the_bound_is_refused(self, monkeypatch):
         with pytest.raises(PrecisionError, match="joined value -7 exceeds the bound 6"):
-            _joined(6, 2, 3, lambda res, p: -7 % p)
+            _joined_of(monkeypatch, 6, -7)
+        with pytest.raises(PrecisionError, match="joined value -7 exceeds the bound 6"):
+            _joined_of(monkeypatch, 6, 6, -7, 0)
 
     def test_an_oxbury_bound_forced_too_small_is_refused(self, monkeypatch):
         # N_3^0(so(5), 5) = 2723840 cannot be joined within a bound of 1000
@@ -350,6 +365,82 @@ class TestCertificate:
         assert n0_oxbury(14, 3, 5) == want_n0
         assert n0_oxbury(14, 2, 7) == want_n0
         assert oxbury_check(14, 3, 2).equal
+
+
+class TestVerlindeDims:
+    """The batched exact join against the float-confirmed dim_trig."""
+
+    @pytest.mark.parametrize("r,ell", S_GRID)
+    def test_every_triple_set_matches_dim_trig(self, r, ell):
+        triples = list(itertools.combinations_with_replacement(enumerate_level(r, ell), 3))
+        assert verlinde_dims(0, triples, r, ell) == [dim_trig(0, t, r, ell) for t in triples]
+
+    def test_mixed_lengths_in_one_call(self):
+        # the column factor E_0mu^(2-2g-n) depends on n: [] and [top] share a call
+        for g, r, ell in ((0, 2, 3), (2, 2, 3), (3, 3, 2), (2, 2, 7)):
+            top = sigma(Weight.zero(r), ell)
+            queries = [[], [top], [], [top, top], [top]]
+            assert verlinde_dims(g, queries, r, ell) == [dim_trig(g, q, r, ell) for q in queries]
+
+    @pytest.mark.parametrize("g", range(4))
+    @pytest.mark.parametrize("r,ell", [(2, 1), (2, 3), (3, 2), (2, 7), (3, 5)])
+    def test_twisted_total_is_the_sum_of_its_two_dims(self, g, r, ell):
+        top = sigma(Weight.zero(r), ell)
+        assert twisted_total(g, r, ell) == dim_trig(g, [], r, ell) + dim_trig(g, [top], r, ell)
+
+    def test_the_bound_is_the_largest_of_the_queries(self):
+        # [] at genus 0 has bound 1, one prime; 160 spin points give 2^79
+        spin = Weight.fundamental(2, 2)
+        assert verlinde_dims(0, [[], [spin] * 160], 2, 1) == [1, 2 ** 79]
+
+    def test_a_bound_forced_too_small_is_refused(self, monkeypatch):
+        assert verlinde_dims(3, [[]], 2, 5) == [dim_trig(3, [], 2, 5)]
+        monkeypatch.setattr(verlinde, "magnitude_bound", lambda *args: 1000)
+        with pytest.raises(PrecisionError):
+            verlinde_dims(3, [[]], 2, 5)
+
+    def test_domain_errors_and_the_empty_batch(self):
+        assert verlinde_dims(2, [], 2, 3) == []
+        with pytest.raises(ValueError, match="genus must be >= 0"):
+            verlinde_dims(-1, [[]], 2, 3)
+        with pytest.raises(ValueError):
+            verlinde_dims(0, [[Weight.parse("4,0")]], 2, 3)
+
+
+def _script(name):
+    """scripts/<name>.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWholeTables:
+    """scripts/dual_oracle_sweep.py's whole-table phase on two 34-36 weight
+    rings: every entry of every FusionTable row against the Verlinde formula
+    over F_p."""
+
+    def test_so5_level7_and_so7_level5_agree(self):
+        sweep = _script("dual_oracle_sweep")
+        start = time.perf_counter()
+        assert sweep.table_mismatches(2, 7) == []
+        assert sweep.table_mismatches(3, 5) == []
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_wrong_entry_is_reported(self, monkeypatch):
+        sweep = _script("dual_oracle_sweep")
+        real = verlinde._residue_sums
+        zero, a = Weight.zero(2), Weight.parse("1,0")
+        wrong = sorted([zero, a, a])
+
+        def off_by_one(res, p, g, queries, columns):
+            # the Verlinde side of N_{0 a}^a = N_{a a}^0 reads 2
+            return [n + (sorted(q) == wrong) for n, q in
+                    zip(real(res, p, g, queries, columns), queries)]
+
+        monkeypatch.setattr(verlinde, "_residue_sums", off_by_one)
+        assert sweep.table_mismatches(2, 3) == [(zero, a, a, 1, 2), (a, a, zero, 1, 2)]
 
 
 class TestOxbury:
@@ -448,14 +539,6 @@ class TestHeadlineClaims:
         assert twisted_total(g, 3, 5) == 2 * right
 
 
-def _census_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "strange_duality_census.py"
-    spec = importlib.util.spec_from_file_location("strange_duality_census", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestCensusScript:
     """scripts/strange_duality_census.py on (r, s) = (2, 3), g <= 2."""
 
@@ -467,7 +550,7 @@ class TestCensusScript:
     ]
 
     def test_main_prints_the_table(self, capsys):
-        census = _census_script()
+        census = _script("strange_duality_census")
         start = time.perf_counter()
         assert census.main(3, 2) == 0
         assert time.perf_counter() - start < 0.5
@@ -477,7 +560,7 @@ class TestCensusScript:
                                    "the identity holds on both sides in 2; ")
 
     def test_a_disagreement_exits_2(self, capsys, monkeypatch):
-        census = _census_script()
+        census = _script("strange_duality_census")
         monkeypatch.setattr(census, "n0_oxbury", lambda g, r, ell: r)
         assert census.main(3, 1) == 2
         out = capsys.readouterr().out
@@ -488,7 +571,7 @@ class TestCensusScript:
         (["2"], None), (["3", "0"], None), (["x"], None), (["3", "2", "1"], None),
     ])
     def test_arguments(self, argv, want):
-        assert _census_script()._parse_args(argv) == want
+        assert _script("strange_duality_census")._parse_args(argv) == want
 
 
 class TestThetaCounts:
