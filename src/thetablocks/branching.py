@@ -26,17 +26,6 @@ class EmbeddingParams(Frozen):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.r, self.s) == (other.r, other.s)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.s))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(r={self.r!r}, s={self.s!r})"
-
     @property
     def d(self) -> int:
         return 2 * self.r * self.s + self.r + self.s
@@ -103,18 +92,6 @@ class BranchTriple(Frozen):
 
     def _key(self) -> tuple:
         return self.lam, self.mu, self.Lambda, self.exponent
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(lam={self.lam!r}, mu={self.mu!r}, "
-                f"Lambda={self.Lambda!r}, exponent={self.exponent!r}, rule={self.rule!r})")
 
 
 def sewing_exponent(lam: Weight, mu: Weight, Lambda: str, r: int, s: int) -> int:

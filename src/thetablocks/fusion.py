@@ -163,6 +163,13 @@ class FusionRing:
         return val
 
 
+def _ignore_file(where: str, what: str, exc: Exception) -> None:
+    """Warn once that a cache file is read as absent, naming where and why."""
+    import logging  # only on this path: keeps it off CLI start-up
+
+    logging.getLogger(__name__).warning("%s: %s (%s); ignoring the file", where, what, exc)
+
+
 class FusionTable(FusionRing):
     """Fusion multiplicities of so(2r+1) at level ell, with optional disk cache.
 
@@ -219,15 +226,20 @@ class FusionTable(FusionRing):
 
     def _load(self) -> None:
         """Read the rows of the cache file.  A file with another header, or
-        with any line that is not "lam|mu|nu|N" over weights of this table
-        with an integer N >= 0, is ignored as a whole (with one warning for a
-        bad line); the next `save` replaces it."""
+        that is not UTF-8, or with any line that is not "lam|mu|nu|N" over
+        weights of this table with an integer N >= 0, is ignored as a whole
+        (with one warning when undecodable or for a bad line); the next
+        `save` replaces it."""
         path = self.cache_path
         if path is None or not os.path.exists(path):
             return
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
         self._unsaved = True  # until the whole file is read
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            _ignore_file(path, "undecodable cache file", exc)
+            return
         if not lines or lines[0] != self._header():
             return  # version bump or foreign file: ignore, will be rebuilt
         weight_of = self._weight_of
@@ -253,11 +265,7 @@ class FusionTable(FusionRing):
                 if n < 0:
                     raise ValueError(f"negative multiplicity {n}")
             except (ValueError, ArithmeticError) as exc:
-                import logging  # only on this path: keeps it off CLI start-up
-
-                logging.getLogger(__name__).warning(
-                    "%s:%d: bad cache line (%s); ignoring the file", path, lineno, exc
-                )
+                _ignore_file(f"{path}:{lineno}", "bad cache line", exc)
                 return
             key = (a_d, b_d) if a_d <= b_d else (b_d, a_d)
             row = products.setdefault(key, {})

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 
 class RankError(ValueError):
@@ -48,9 +48,27 @@ def _fraction(text: str) -> Fraction:
 class Frozen:
     """Base of the immutable slotted value classes: their `__init__` fills
     the slots through `object.__setattr__`, and afterwards assigning or
-    deleting an attribute raises AttributeError."""
+    deleting an attribute raises AttributeError.  Value semantics come from
+    `_key()`, every slot unless a subclass narrows it: two objects of the
+    same class are equal when their keys are, and hash as their key; the
+    repr names every slot."""
 
     __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -64,10 +82,12 @@ class Frozen:
             object.__setattr__(self, name, value)
 
 
+@total_ordering
 class Weight(Frozen):
     """A dominant weight of so(2r+1) in L-coordinates; `d` holds the doubled
     coordinates (ints), set once the coordinates pass validation.  Equality,
-    order and hash read `d` only."""
+    order and hash read `d` only, by methods of its own: weights key every
+    fusion row.  `<` is written out, and `total_ordering` derives the rest."""
 
     __slots__ = ("coords", "d", "_hash")
 
@@ -104,21 +124,6 @@ class Weight(Frozen):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self.d < other.d
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self.d <= other.d
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.d > other.d
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self.d >= other.d
         return NotImplemented
 
     def __hash__(self) -> int:

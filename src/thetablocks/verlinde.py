@@ -15,9 +15,10 @@ Lett. B 323, 1994), so it holds under every ring map to F_p.  The residues
 modulo primes whose product exceeds twice an integer bound on |N| fix N;
 `_residue_sums` is the one place the formula is written, for a batch of
 queries at once: for `verlinde_dims` and `dim_trig` over every column and for
-the Oxbury-Wilson sums of `n0_oxbury` over the SO-weights.  `verlinde_dims`
-joins many values under one bound and `n0_oxbury` one; neither evaluates a
-sine.
+the Oxbury-Wilson sums of `n0_oxbury` over the SO-weights.  `_admitted` is
+the one admission of `verlinde_dims` and `dim_trig`: rank, genus, weights and
+the magnitude bound.  `verlinde_dims` joins many values under one bound and
+`n0_oxbury` one; neither evaluates a sine.
 
 `dim_trig` then confirms its join by the same sum over the reals.  There E is
 (2i)^r times the sine determinant, so
@@ -25,14 +26,14 @@ sine.
     S_{lam,mu} = c * det[ sin(2 pi m_ij / 4k) ],
 
 and every entry reads its r^2 sines from one table of 4k values.  The sines
-are fixed-point ints computed in integer arithmetic, the determinant (of
-sines here, of residues above) is found exactly by fraction-free
-elimination, so a vanishing S_{lam,mu} is just a zero, and c = +-1/|row 0|
-is fixed by the vacuum row.  A row is built when a sum first asks for it.
-The working precision, in bits, is chosen here and nowhere else: the bit
-length of the integer bound plus GUARD_BITS, and no less than MIN_PREC.  A
-sum farther than DEFAULT_TOL from the joined integer raises PrecisionError.
-mpmath is imported only where an mpf is made: in the S-matrix rows and in
+are mpmath's, rounded to fixed-point ints, the determinant (of sines here,
+of residues above) is found exactly by fraction-free elimination, so a
+vanishing S_{lam,mu} is just a zero, and c = +-1/|row 0| is fixed by the
+vacuum row.  A row is built when a sum first asks for it.  The working
+precision, in bits, is chosen here and nowhere else: the bit length of the
+integer bound plus GUARD_BITS, and no less than MIN_PREC.  A sum farther
+than DEFAULT_TOL from the joined integer raises PrecisionError.  mpmath is
+imported only on this float path: in the sine table, the S-matrix rows and
 the sum of `dim_trig`.
 """
 
@@ -70,39 +71,17 @@ class PrecisionError(ArithmeticError):
 
 # -- rows of determinants read from one table of 4k values --------------------
 
-def _fixed_acot(n: int, one: int) -> int:
-    """atan(1/n) * one by its Taylor series, each term truncated."""
-    term = total = one // n
-    n2, j = n * n, 1
-    while term:
-        term //= n2
-        j += 2
-        total += -(term // j) if j & 2 else term // j
-    return total
-
-
 @lru_cache(maxsize=64)
 def _sine_table(q: int, bits: int) -> tuple:
-    """round(2^bits sin(2 pi m / q)) for 0 <= m < q, q = 4k, in integer
-    arithmetic: pi by Machin's formula 16 acot 5 - 4 acot 239 and the sines
-    of the quarter wave 0 <= m <= k by their Taylor series, both carried
-    SINE_GUARD_BITS beyond bits, the other quadrants by symmetry."""
+    """round(2^bits sin(2 pi m / q)) for 0 <= m < q, q = 4k: the quarter wave
+    0 <= m <= k by mpmath's sinpi, SINE_GUARD_BITS beyond bits, the other
+    quadrants by symmetry."""
+    import mpmath
+
     k = q // 4
-    work = bits + SINE_GUARD_BITS
-    one = 1 << work
-    pi = 16 * _fixed_acot(5, one) - 4 * _fixed_acot(239, one)
-    half = 1 << (SINE_GUARD_BITS - 1)
-    quarter = []
-    for m in range(k + 1):
-        x = pi * m // (2 * k)  # 2 pi m / 4k
-        x2 = x * x >> work
-        term = total = x
-        n = 1
-        while term:
-            term = (term * x2 >> work) // ((n + 1) * (n + 2))
-            n += 2
-            total += -term if n & 2 else term
-        quarter.append((total + half) >> SINE_GUARD_BITS)
+    with mpmath.workprec(bits + SINE_GUARD_BITS):
+        quarter = [int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(mpmath.mpf(m) / (2 * k)), bits)))
+                   for m in range(k + 1)]
     # sin(pi - x) = sin x, sin(pi + x) = -sin x
     upper = quarter + quarter[-2::-1]
     return tuple(upper[:2 * k] + [-v for v in upper[:2 * k]])
@@ -375,6 +354,19 @@ def _working_prec(bound: int) -> int:
     return max(MIN_PREC, bound.bit_length() + GUARD_BITS)
 
 
+def _admitted(g: int, queries, r: int, ell: int) -> tuple:
+    """(bound, columns) for Verlinde numbers of so(2r+1) at level ell and
+    genus g: the rank and g >= 0 checked, each weight of the queries admitted
+    once, the largest magnitude bound of the queries, and every column."""
+    require_rank(r)
+    if g < 0:
+        raise ValueError("genus must be >= 0")
+    for w in dict.fromkeys(itertools.chain.from_iterable(queries)):
+        check_weight(w, r, ell)
+    bound = max([magnitude_bound(g, lams, r, ell) for lams in queries], default=0)
+    return bound, range(len(enumerate_level(r, ell)))
+
+
 def dim_trig(g: int, lams, r: int, ell: int) -> int:
     """Verlinde dimension sum(mu) S_{0mu}^{2-2g-n} prod_i S_{lam_i,mu}, joined
     by `_join` from its exact residues modulo primes, then confirmed by the
@@ -382,13 +374,8 @@ def dim_trig(g: int, lams, r: int, ell: int) -> int:
     sum farther than DEFAULT_TOL from the join raises PrecisionError."""
     import mpmath
 
-    if g < 0:
-        raise ValueError("genus must be >= 0")
     lams = list(lams)
-    for w in lams:
-        check_weight(w, r, ell)
-    bound = magnitude_bound(g, lams, r, ell)
-    columns = range(len(enumerate_level(r, ell)))
+    bound, columns = _admitted(g, [lams], r, ell)
     primes = certificate_primes(r, ell, bound)
     [n] = _join(primes, bound, r, ell, g, [lams], columns)
     sm = s_matrix(r, ell, _working_prec(bound))
@@ -434,13 +421,7 @@ def verlinde_dims(g: int, queries, r: int, ell: int) -> list[int]:
     sequences, for so(2r+1) at level ell: each weight admitted once, all
     joined by `_joined` under the largest magnitude bound of the queries.  No
     sine is evaluated."""
-    require_rank(r)
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    for w in dict.fromkeys(itertools.chain.from_iterable(queries)):
-        check_weight(w, r, ell)
-    bound = max([magnitude_bound(g, lams, r, ell) for lams in queries], default=0)
-    columns = range(len(enumerate_level(r, ell)))
+    bound, columns = _admitted(g, queries, r, ell)
     return _joined(bound, r, ell, g, queries, columns)
 
 

@@ -72,17 +72,6 @@ class YoungDiagram(Frozen):
             rows = tuple(a for a in rows if a > 0)
         object.__setattr__(self, "rows", rows)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(rows={self.rows!r})"
-
     @property
     def size(self) -> int:
         return sum(self.rows)

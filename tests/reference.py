@@ -2,9 +2,11 @@
 the helpers several test modules share.  None of them runs in the program
 itself."""
 
+import importlib.util
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from pathlib import Path
 
 import mpmath
 
@@ -191,3 +193,12 @@ def want(prefix: str):
     """The wanted value of the one golden row whose name starts with `prefix`."""
     (row,) = golden_rows(prefix)
     return row.want
+
+
+def script(name: str):
+    """scripts/<name>.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

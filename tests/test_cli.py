@@ -438,15 +438,36 @@ class TestCacheDeterminism:
             assert path.read_bytes() == blob
             assert path.stat().st_mtime_ns == 10 ** 9
 
-    @pytest.mark.parametrize("text", ["", "B 2 level 2 version 0\n", "B 2 level 2 version 1\nx\n"],
-                             ids=["empty", "other-version", "bad-line"])
-    def test_a_rejected_file_is_rewritten_without_new_rows(self, tmp_path, text):
+    @pytest.mark.parametrize("blob", [b"", b"B 2 level 2 version 0\n", b"B 2 level 2 version 1\nx\n",
+                                      b"\xff\xfe", b"B 2 level 2 version 1\n\x80\n"],
+                             ids=["empty", "other-version", "bad-line", "not-utf8", "bad-byte-line"])
+    def test_a_rejected_file_is_rewritten_without_new_rows(self, tmp_path, blob):
         path = tmp_path / "B2_level2.fusion.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(blob)
         table = FusionTable(2, 2, str(tmp_path))
         assert table._products == {}
         table.save()
         assert path.read_text(encoding="utf-8") == "B 2 level 2 version 1\n"
+
+    @pytest.mark.parametrize("blob", [b"\xff\xfe", b"B 2 level 3 version 1\n\x80\n"],
+                             ids=["not-utf8", "bad-byte-line"])
+    def test_an_undecodable_file_is_read_as_absent(self, capsys, caplog, tmp_path, blob):
+        """Every cache file a clean run writes, replaced by blob: the same
+        stdout, exit 0, and the same bytes saved over it."""
+        for argv in (["fusion", "--rank", "2", "--level", "3", "--weights", "1,0;1,0;1,1"],
+                     ["paper-check"]):
+            clean, dirty = tmp_path / argv[0] / "clean", tmp_path / argv[0] / "dirty"
+            rc, want_out = run(capsys, *argv, "--cache-dir", str(clean))
+            assert rc == 0
+            names = sorted(p.name for p in clean.iterdir())
+            dirty.mkdir()
+            for name in names:
+                (dirty / name).write_bytes(blob)
+            caplog.clear()
+            assert run(capsys, *argv, "--cache-dir", str(dirty)) == (0, want_out)
+            assert caplog.text.count("undecodable cache file") == len(names)
+            for name in names:
+                assert (dirty / name).read_bytes() == (clean / name).read_bytes(), name
 
     def test_unusable_cache_dir_is_1(self, capsys, tmp_path):
         (tmp_path / "plain").write_text("")

@@ -1,15 +1,17 @@
 import copy
-import importlib.util
+import functools
 import itertools
 import time
 from fractions import Fraction
 from math import prod
-from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thetablocks import verlinde
+from thetablocks import goldens, verlinde
+from thetablocks.branching import RANKLEVEL_EXAMPLES, EmbeddingParams, lambda_weight
 from thetablocks.common import theta_counts
 from thetablocks.fusion import FusionTable, LevelOneTable
 from thetablocks.rootsys import Weight
@@ -35,7 +37,7 @@ from thetablocks.verlinde import (
 from thetablocks.weights import enumerate_level, sigma
 
 import reference
-from reference import want
+from reference import golden_rows, script, want
 
 
 # the grid the trig S-matrix must keep symmetric and unitary to 1e-40 at
@@ -407,13 +409,90 @@ class TestVerlindeDims:
             verlinde_dims(0, [[Weight.parse("4,0")]], 2, 3)
 
 
-def _script(name):
-    """scripts/<name>.py, loaded as a module."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@functools.lru_cache(maxsize=None)
+def _ring(r, ell):
+    return FusionTable(r, ell)
+
+
+def _kac_walton_dim(ring, g, lams):
+    """N_g(lams) from the ring's Kac-Walton rows alone, no bound involved:
+    the vacuum fused with each lam, then g times with the handle
+    sum_mu mu x mu, read at the vacuum (every weight of so(2r+1) is
+    self-dual)."""
+    zero = ring.weights()[0]
+
+    def fuse(vec, w):
+        out = {}
+        for nu, c in vec.items():
+            for tau, n in ring.product(nu, w).items():
+                out[tau] = out.get(tau, 0) + c * n
+        return out
+
+    vec = {zero: 1}
+    for w in lams:
+        vec = fuse(vec, w)
+    for _ in range(g):
+        handled = {}
+        for mu in ring.weights():
+            for tau, n in fuse(fuse(vec, mu), mu).items():
+                handled[tau] = handled.get(tau, 0) + n
+        vec = handled
+    return vec.get(zero, 0)
+
+
+class TestMagnitudeBound:
+    """magnitude_bound(g, lams, r, ell) >= |N_g(lams)|, N from the
+    Kac-Walton rows, on every golden Verlinde number and on a grid."""
+
+    @staticmethod
+    def _bounded(ring, g, lams):
+        n = _kac_walton_dim(ring, g, lams)
+        assert magnitude_bound(g, lams, ring.rank, ring.level) >= abs(n), (g, lams)
+        return n
+
+    def test_every_golden_verlinde_number(self):
+        small = _ring(2, 1)
+        top = sigma(Weight.zero(2), 1)
+        for row in golden_rows("N_g(omega_1"):
+            (g,) = row.compute.args
+            assert self._bounded(small, g, [Weight.fundamental(2, 1)]) == row.want
+        for row in golden_rows("N_g(2n spin"):
+            (r,) = row.compute.args
+            ring, spin = LevelOneTable(r), Weight.fundamental(r, r)
+            assert tuple(self._bounded(ring, g, [spin] * (2 * n))
+                         for g, n in goldens._SPIN_GN) == row.want
+        for row in golden_rows("twisted total"):
+            (g,) = row.compute.args
+            assert self._bounded(small, g, []) + self._bounded(small, g, [top]) == row.want
+        for row in golden_rows("Oxbury-Wilson"):
+            g, r, s = row.compute.args
+            (n0,) = row.want
+            for rank, ell in ((r, 2 * s + 1), (s, 2 * r + 1)):
+                ring, top_ell = _ring(rank, ell), sigma(Weight.zero(rank), ell)
+                assert self._bounded(ring, g, []) + self._bounded(ring, g, [top_ell]) == 2 * n0
+        for row in golden_rows("rank-level failure"):
+            (n,) = row.compute.args
+            cfg = RANKLEVEL_EXAMPLES[n]
+            p = EmbeddingParams(cfg["r"], cfg["s"])
+            source, target = ([Weight.parse(w) for w in cfg[side].split(";")]
+                              for side in ("source", "target"))
+            level1 = [lambda_weight(label, p.d) for label in cfg["Lambdas"]]
+            assert (self._bounded(_ring(p.r, p.levels[0]), 0, source),
+                    self._bounded(_ring(p.s, p.levels[1]), 0, target),
+                    self._bounded(LevelOneTable(p.d), 0, level1)) == row.want
+        table = _ring(2, 3)
+        for t in itertools.combinations_with_replacement(table.weights(), 3):
+            assert self._bounded(table, 0, t) == table.triple(*t)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_grid_of_rings_genera_and_weights(self, data):
+        r, ell = data.draw(st.sampled_from((2, 3))), data.draw(st.integers(1, 4))
+        g = data.draw(st.integers(0, 5))
+        lams = data.draw(st.lists(st.sampled_from(enumerate_level(r, ell)), max_size=3))
+        n = self._bounded(_ring(r, ell), g, lams)
+        if g <= 2:
+            assert n == _ring(r, ell).dim_genus_g(g, lams)
 
 
 class TestWholeTables:
@@ -422,14 +501,14 @@ class TestWholeTables:
     over F_p."""
 
     def test_so5_level7_and_so7_level5_agree(self):
-        sweep = _script("dual_oracle_sweep")
+        sweep = script("dual_oracle_sweep")
         start = time.perf_counter()
         assert sweep.table_mismatches(2, 7) == []
         assert sweep.table_mismatches(3, 5) == []
         assert time.perf_counter() - start < 1.0
 
     def test_a_wrong_entry_is_reported(self, monkeypatch):
-        sweep = _script("dual_oracle_sweep")
+        sweep = script("dual_oracle_sweep")
         real = verlinde._residue_sums
         zero, a = Weight.zero(2), Weight.parse("1,0")
         wrong = sorted([zero, a, a])
@@ -550,7 +629,7 @@ class TestCensusScript:
     ]
 
     def test_main_prints_the_table(self, capsys):
-        census = _script("strange_duality_census")
+        census = script("strange_duality_census")
         start = time.perf_counter()
         assert census.main(3, 2) == 0
         assert time.perf_counter() - start < 0.5
@@ -560,7 +639,7 @@ class TestCensusScript:
                                    "the identity holds on both sides in 2; ")
 
     def test_a_disagreement_exits_2(self, capsys, monkeypatch):
-        census = _script("strange_duality_census")
+        census = script("strange_duality_census")
         monkeypatch.setattr(census, "n0_oxbury", lambda g, r, ell: r)
         assert census.main(3, 1) == 2
         out = capsys.readouterr().out
@@ -571,7 +650,7 @@ class TestCensusScript:
         (["2"], None), (["3", "0"], None), (["x"], None), (["3", "2", "1"], None),
     ])
     def test_arguments(self, argv, want):
-        assert _script("strange_duality_census")._parse_args(argv) == want
+        assert script("strange_duality_census")._parse_args(argv) == want
 
 
 class TestThetaCounts:
