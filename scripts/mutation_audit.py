@@ -32,7 +32,10 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
-TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+# tests/test_mutation_audit.py checks this file against the tree it sits in,
+# so in a mutated copy it fails whatever the mutant is and would kill it first
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--ignore=tests/test_mutation_audit.py"]
 SKIP = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-*",
     ".theta-blocks-cache",

@@ -74,6 +74,12 @@ class TestSineTable:
                     exact = mpmath.ldexp(mpmath.sinpi(mpmath.mpf(2 * m) / q), bits)
                     assert abs(a - exact) < 0.5 + 2 ** -32, (q, m)
 
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_the_symmetric_quadrants_equal_the_direct_sines(self, bits):
+        # the reference takes every entry from sinpi, not only the quarter wave
+        for k in range(1, 26):
+            assert list(_sine_table(4 * k, bits)) == reference.sine_table(4 * k, bits), k
+
 
 class TestWorkingPrecision:
     def test_the_floor_is_mpmaths_precision_at_50_digits(self):
