@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import json
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import __version__
 from .common import UnreducibleError, theta_counts
@@ -35,17 +34,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict
-    outputs: dict
-    engine: str
-    version: str = __version__
-    lines: list = field(default_factory=list)  # preformatted extras (text mode)
+class Report(namedtuple("Report", "command inputs outputs engine version lines",
+                        defaults=(__version__, ()))):
+    """One subcommand's result; `lines` are preformatted extras that only
+    the text rendering prints."""
+
+    __slots__ = ()
 
     def rendered(self, as_json: bool) -> str:
         if as_json:
+            import json  # only on this path: keeps it off CLI start-up
+
             blob = {
                 "command": self.command,
                 "inputs": self.inputs,
@@ -83,7 +82,8 @@ def _dims_both(g, lams, r, ell, method, cache_dir):
         trig = dim_trig(g, lams, r, ell)
     if method == "both" and exact != trig:
         raise EngineDisagreement(
-            f"fusion gives {exact}, trig gives {trig} for genus {g}, {lams}"
+            f"fusion gives {exact}, trig gives {trig} for genus {g}, "
+            f"weights {';'.join(str(w) for w in lams)}"
         )
     if table is not None:
         table.save()
@@ -137,9 +137,9 @@ def cmd_branch(args) -> Report:
     from .branching import branch_pairs
 
     tris = branch_pairs(args.Lambda, args.r, args.s)
-    outputs = {
-        "count": len(tris),
-        "pairs": [
+    outputs = {"count": len(tris)}
+    if args.json:
+        outputs["pairs"] = [
             {
                 "lam": str(t.lam),
                 "mu": str(t.mu),
@@ -147,21 +147,14 @@ def cmd_branch(args) -> Report:
                 "rule": t.rule,
             }
             for t in tris
-        ],
-    }
-    lines = [
-        f"  ({t.lam})  ({t.mu})   m={t.exponent}   {t.rule}" for t in tris
-    ]
-    rep = Report(
+        ]
+    return Report(
         "branch",
         {"r": args.r, "s": args.s, "Lambda": args.Lambda},
         outputs,
         engine="fusion",
+        lines=[f"  ({t.lam})  ({t.mu})   m={t.exponent}   {t.rule}" for t in tris],
     )
-    rep.lines = lines
-    if not args.json:
-        rep.outputs = {"count": len(tris)}
-    return rep
 
 
 def cmd_sewing(args) -> Report:

@@ -3,28 +3,37 @@ current actions on Fock vectors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .coeff import QSqrt2
 from .states import NS, FockState, FockVector, clifford_state
+from ..rootsys import Frozen
 
 Idx = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BilinearOp:
+class BilinearOp(Frozen):
     """B^{upper}_{lower}(mode) = sum_{a+b=mode} :phi^{upper}(a) phi_{lower}(b):
     acting by Clifford multiplication; phi_{k,q} = phi^{-k,-q}."""
 
-    upper: Idx
-    lower: Idx
-    mode: int
+    __slots__ = ("upper", "lower", "mode")
+
+    def __init__(self, upper: Idx, lower: Idx, mode: int):
+        _set_upper(self, upper)
+        _set_lower(self, lower)
+        _set_mode(self, mode)
 
     def __str__(self):
         (i, p), (k, q) = self.upper, self.lower
         return f"B{{{i},{p};{k},{q}}}({self.mode})"
+
+
+# Slot setters of the classes the gauge reduction builds by the thousand
+# (BilinearOp, and SlotExpression below): a slot descriptor's __set__ costs
+# about half of object.__setattr__.
+_set_upper, _set_lower, _set_mode = (
+    BilinearOp.upper.__set__, BilinearOp.lower.__set__, BilinearOp.mode.__set__
+)
 
 
 _HALF = QSqrt2(Fraction(1, 2))
@@ -99,39 +108,47 @@ def apply_LR(i: int, j: int, mode: int, side: str, v: FockVector, r: int, s: int
     return FockVector(out)
 
 
-@dataclass(frozen=True)
-class SlotExpression:
+class SlotExpression(Frozen):
     """A word of mode -1 bilinears over a base vector; ops[0] is outermost.
 
     The number of negative-mode operators is the termination measure of the
     gauge reduction in blocks.evaluate_block.
 
     The expression keeps its value and its tail (ops[1:] over the same base)
-    once computed, so value() applies one bilinear to the tail's value; the
-    memo is not a field and takes no part in eq, hash or repr.
+    in two memo slots once computed, so value() applies one bilinear to the
+    tail's value; the memo slots are not fields and take no part in eq, hash
+    or repr.
     """
 
-    ops: tuple[BilinearOp, ...]
-    base: FockVector
+    __slots__ = ("ops", "base", "_value", "_tail")
+    _fields = ("ops", "base")
 
-    def __post_init__(self):
-        assert all(op.mode == -1 for op in self.ops), "slot words carry mode -1 ops"
+    def __init__(self, ops: tuple[BilinearOp, ...], base: FockVector):
+        assert all(op.mode == -1 for op in ops), "slot words carry mode -1 ops"
+        _set_ops(self, ops)
+        _set_base(self, base)
+        _set_value(self, None)
+        _set_tail(self, None)
 
     def value(self) -> FockVector:
-        return self._value
+        value = self._value
+        if value is None:
+            value = self.base
+            if self.ops:
+                value = apply_bilinear(self.ops[0], self.tail().value())
+            _set_value(self, value)
+        return value
 
     def tail(self) -> "SlotExpression":
         """The expression with its outermost operator stripped."""
-        return self._tail
+        tail = self._tail
+        if tail is None:
+            tail = SlotExpression(self.ops[1:], self.base)
+            _set_tail(self, tail)
+        return tail
 
-    # cached_property writes the instance __dict__ directly, which a frozen
-    # dataclass allows
-    @cached_property
-    def _value(self) -> FockVector:
-        if not self.ops:
-            return self.base
-        return apply_bilinear(self.ops[0], self.tail().value())
 
-    @cached_property
-    def _tail(self) -> "SlotExpression":
-        return SlotExpression(self.ops[1:], self.base)
+_set_ops, _set_base, _set_value, _set_tail = (
+    SlotExpression.ops.__set__, SlotExpression.base.__set__,
+    SlotExpression._value.__set__, SlotExpression._tail.__set__,
+)

@@ -18,9 +18,9 @@ a wedge, acting instead by the scalar (-1)^degree / sqrt(2).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 from .coeff import INV_SQRT2, ONE, ZERO, QSqrt2
+from ..rootsys import Frozen
 
 NS = "NS"
 R = "R"
@@ -36,17 +36,26 @@ def _index_positive(j: int, p: int) -> bool:
     return j > 0 or (j == 0 and p > 0)
 
 
-@dataclass(frozen=True, slots=True)
-class FockState:
-    sector: str
-    wedge: tuple[Gen, ...]
-    dual: bool = False
-    # twice the energy (sum of -tm over the wedge) and the hash are computed
-    # once, at construction: states key every dict of the engine
-    energy2: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+class FockState(Frozen):
+    """One basis state: a sorted wedge of generators in a sector, in the
+    standard or the dual realization.  Its fields are sector, wedge and
+    dual; twice the energy (sum of -tm over the wedge) and the hash are
+    computed once, at construction, because states key every dict of the
+    engine."""
 
-    def __post_init__(self):
+    __slots__ = ("sector", "wedge", "dual", "energy2", "_hash")
+    _fields = ("sector", "wedge", "dual")
+
+    def __init__(self, sector: str, wedge: tuple[Gen, ...], dual: bool = False):
+        setattr_ = object.__setattr__
+        setattr_(self, "sector", sector)
+        setattr_(self, "wedge", wedge)
+        setattr_(self, "dual", dual)
+        self._admit()
+
+    def _admit(self) -> None:
+        """Check that the wedge is strictly sorted and of the sector's
+        parity, and fill energy2 and the hash."""
         parity = 1 if self.sector == NS else 0
         energy2 = 0
         prev = ()  # the empty tuple sorts before every generator
@@ -61,7 +70,13 @@ class FockState:
         object.__setattr__(self, "energy2", energy2)
         object.__setattr__(self, "_hash", hash((self.sector, self.wedge, self.dual)))
 
-    def __hash__(self):
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.wedge == other.wedge and self.sector == other.sector
+                    and self.dual == other.dual)
+        return NotImplemented
+
+    def __hash__(self) -> int:
         return self._hash
 
     @property
@@ -85,7 +100,7 @@ _set_fields = (
 
 
 def _derived_state(sector: str, wedge: tuple[Gen, ...], dual: bool, energy2: int) -> FockState:
-    """A FockState built without the checks of __post_init__: the caller
+    """A FockState built without the checks of `_admit`: the caller
     guarantees a strictly sorted wedge of the sector's parity and passes its
     energy2.  The hash is the one the public constructor computes."""
     set_sector, set_wedge, set_dual, set_energy2, set_hash = _set_fields

@@ -47,16 +47,24 @@ def _fraction(text: str) -> Fraction:
 
 class Frozen:
     """Base of the immutable slotted value classes: their `__init__` fills
-    the slots through `object.__setattr__`, and afterwards assigning or
-    deleting an attribute raises AttributeError.  Value semantics come from
-    `_key()`, every slot unless a subclass narrows it: two objects of the
-    same class are equal when their keys are, and hash as their key; the
-    repr names every slot."""
+    the slots through `object.__setattr__` (or, where construction is hot,
+    the slot descriptors' `__set__`), and afterwards assigning or deleting
+    an attribute raises AttributeError.  A class names its value fields
+    once, in `_fields` (every slot unless it says otherwise), so derived and
+    memo slots stay out of the value.  Value semantics come from `_key()`,
+    the fields unless a subclass narrows it: two objects of the same class
+    are equal when their keys are, and hash as their key; the repr names
+    every field."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -67,7 +75,7 @@ class Frozen:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -87,9 +95,11 @@ class Weight(Frozen):
     """A dominant weight of so(2r+1) in L-coordinates; `d` holds the doubled
     coordinates (ints), set once the coordinates pass validation.  Equality,
     order and hash read `d` only, by methods of its own: weights key every
-    fusion row.  `<` is written out, and `total_ordering` derives the rest."""
+    fusion row.  `<` is written out, and `total_ordering` derives the rest.
+    The one field is `coords`: the repr names only it."""
 
     __slots__ = ("coords", "d", "_hash")
+    _fields = ("coords",)
 
     def __init__(self, coords: tuple[Fraction, ...]):
         # floor(2c): exact for integral and half-odd c, and it keeps the sign
@@ -128,9 +138,6 @@ class Weight(Frozen):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(coords={self.coords!r})"
 
     @property
     def rank(self) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -226,6 +225,10 @@ class TestExitCodes:
             "--weights", "1,0;1,0;0,0", "--method", "both",
         ])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "engine disagreement: fusion gives 1, trig gives 999 for genus 0, "
+            "weights 1,0;1,0;0,0\n"
+        )
 
     def test_unreducible_is_3(self, capsys):
         # a mode -1 excitation with no operator handle cannot be reduced
@@ -340,7 +343,7 @@ class TestPaperCheck:
         from thetablocks import goldens
 
         first, second = GOLDENS[:2]
-        failing = dataclasses.replace(second, want=second.want + 1)
+        failing = second._replace(want=second.want + 1)
         monkeypatch.setattr(goldens, "GOLDENS", (first, failing))
         with pytest.raises(SystemExit) as exc:
             main(["paper-check", "--cache-dir", str(tmp_path)])
@@ -364,7 +367,7 @@ class TestPaperCheck:
         from thetablocks import goldens
 
         first, second = GOLDENS[:2]
-        failing = dataclasses.replace(second, want=second.want + 1)
+        failing = second._replace(want=second.want + 1)
         monkeypatch.setattr(goldens, "GOLDENS", (first, failing))
         with pytest.raises(SystemExit) as exc:
             main(["paper-check", "--cache-dir", str(tmp_path), "--json"])
@@ -509,10 +512,15 @@ class TestCacheDeterminism:
 def _python(code: str, *flags: str, **kwargs) -> subprocess.CompletedProcess:
     """`code` run by a fresh interpreter, given the interpreter flags, that
     imports this checkout's package."""
+    return _interpreter(*flags, "-c", code, **kwargs)
+
+
+def _interpreter(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with `args`, importing this checkout's package."""
     src = os.path.dirname(os.path.dirname(thetablocks.__file__))
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     return subprocess.run(
-        [sys.executable, *flags, "-c", code], capture_output=True, text=True,
+        [sys.executable, *args], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), **kwargs,
     )
 
@@ -596,6 +604,16 @@ class TestStartUp:
         )
         assert "thetablocks.verlinde" in modules
         assert _loaded(modules, "mpmath", "typing") == set()
+
+    def test_theta_counts_imports_no_dataclasses_inspect_or_json(self):
+        # -X importtime lists every module the process imports, site's too
+        proc = _interpreter("-X", "importtime", "-m", "thetablocks.cli",
+                            "theta-counts", "--genus", "2", check=True)
+        assert "total   : 16" in proc.stdout.splitlines()
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "thetablocks.common" in imported
+        assert _loaded(imported, "dataclasses", "inspect", "json") == set()
 
     def test_importing_the_engines_builds_no_weight(self):
         # every Weight passes Weight._admit, whichever constructor made it

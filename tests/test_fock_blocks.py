@@ -425,14 +425,14 @@ class TestWorkGuard:
         of the public FockState constructor 6 times (7 with a vacuum slot
         per Psi entry, 95 when every image state and every wedge step was
         checked)."""
-        original = FockState.__post_init__
+        original = FockState._admit
         checked = []
 
         def counted(self):
             checked.append(1)
             original(self)
 
-        monkeypatch.setattr(FockState, "__post_init__", counted)
+        monkeypatch.setattr(FockState, "_admit", counted)
         m = ranklevel_matrix(YoungDiagram.parse("[2,1]"), 3, 3)
         assert ",".join(str(e) for row in m.entries for e in row) == (
             PINNED_SCAN["r3s3:[2,1]"][0]

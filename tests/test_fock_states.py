@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -194,6 +196,23 @@ class TestFockState:
             a.wedge = ()
         with pytest.raises(AttributeError):
             a.energy2 = 0
+
+    def test_copy_and_pickle_keep_the_derived_slots(self):
+        a = FockState(R, ((-2, 1, 1), (0, -1, 0)), dual=True)
+        for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+            assert twin.energy2 == a.energy2 == 2
+
+
+class TestBilinearOp:
+    def test_str_repr_eq_hash(self):
+        op = BilinearOp((1, 0), (0, -1), -1)
+        assert str(op) == "B{1,0;0,-1}(-1)"
+        assert repr(op) == "BilinearOp(upper=(1, 0), lower=(0, -1), mode=-1)"
+        assert op == BilinearOp((1, 0), (0, -1), -1) and hash(op) == hash(((1, 0), (0, -1), -1))
+        assert op != BilinearOp((1, 0), (0, -1), 0) and op != ((1, 0), (0, -1), -1)
+        with pytest.raises(AttributeError):
+            op.mode = 0
 
 
 class TestCliffordApply:

@@ -1,8 +1,10 @@
+import ast
 import copy
 import itertools
 import operator
 import pickle
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -281,3 +283,28 @@ class TestOrbitSize:
         for dom in ((2, 0), (1, 1), (0, 0), (4, 2), (4, 4, 0), (3, 1, 1), (6, 4, 2, 0)):
             orbit = list(weyl_orbit_dbl(dom))
             assert len(set(orbit)) == len(orbit) == orbit_size(dom), dom
+
+
+class TestOneValueClassIdiom:
+    """Value classes are `Frozen` subclasses or namedtuples: nothing under
+    src/ imports dataclasses or uses functools.cached_property."""
+
+    def test_src_uses_no_dataclasses_and_no_cached_property(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "thetablocks"
+        found = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    continue
+                for name in names:
+                    if name.split(".")[0] == "dataclasses" or name == "cached_property":
+                        found.append(f"{path.relative_to(src)}:{node.lineno}: {name}")
+        assert found == []
