@@ -14,7 +14,7 @@ An entry that does not match exactly once stops the audit before anything
 runs, so a stale entry is seen; so does a suite that fails unmutated.
 
 Usage: python scripts/mutation_audit.py   (up to about 20 s per mutant, and
-TIMEOUT_S for one that hangs: about 12 min for the 57 entries on a 2-core host)
+TIMEOUT_S for one that hangs: about 12 min for the 61 entries on a 2-core host)
 Exit status: 0 when every mutant run was killed, 1 when one survived, 2 for
 a stale entry or a failing unmutated suite.
 """
@@ -89,6 +89,10 @@ MUTANTS = [
            "            return self.d == other.d\n",
            "            return self.d[:-1] == other.d[:-1]\n",
            "Weight equality ignores the last coordinate"),
+    Mutant("src/thetablocks/rootsys.py",
+           "        return self.__class__, Frozen._key(self)\n",
+           "        return self.__class__, Frozen._key(self)[:-1]\n",
+           "copy and pickle rebuild a value without its last field"),
     Mutant("src/thetablocks/weights.py",
            "            rows = tuple(a for a in rows if a > 0)\n",
            "            pass\n",
@@ -214,6 +218,15 @@ MUTANTS = [
            "MAX_SKIPPED_PRIMES = 64\n",
            "MAX_SKIPPED_PRIMES = 0\n",
            "the prime search gives up at the first prime it skips"),
+    # the Verlinde certificate of a whole fusion ring
+    Mutant("src/thetablocks/verlinde.py",
+           "    for i, j in itertools.combinations_with_replacement(range(len(ws)), 2):\n",
+           "    for i, j in itertools.combinations(range(len(ws)), 2):\n",
+           "table_mismatches skips the diagonal rows lam x lam"),
+    Mutant("src/thetablocks/verlinde.py",
+           "n, want = row.get(nu, 0), verlinde[tuple(sorted((i, j, k)))]",
+           "want = verlinde[tuple(sorted((i, j, k)))]; n = row.get(nu, want)",
+           "table_mismatches passes an entry missing from its row"),
     Mutant("src/thetablocks/verlinde.py",
            "if w.is_so}",
            "}",
@@ -245,6 +258,10 @@ MUTANTS = [
            "        return self.lam, self.mu, self.Lambda, self.exponent, self.rule\n",
            "BranchTriple equality and hashing read the rule too"),
     Mutant("src/thetablocks/branching.py",
+           "    return 2 * r * s + r + s, 2 * s + 1, 2 * r + 1\n",
+           "    return 2 * r * s + r + s, 2 * r + 1, 2 * s + 1\n",
+           "embedding gives so(2r+1) the level 2r+1 and so(2s+1) the level 2s+1"),
+    Mutant("src/thetablocks/branching.py",
            "    if num < 0 or num % den:\n",
            "    if num % den:\n",
            "a negative sewing exponent is accepted"),
@@ -257,9 +274,9 @@ MUTANTS = [
            "        rules[(lam, mu)] = rule\n",
            "the rule table keeps the last matching bullet, not the first"),
     Mutant("src/thetablocks/branching.py",
-           "        return lam, mu, _sewing(lam, mu, Lambda, p, big), rule\n",
+           "        return lam, mu, _sewing(lam, mu, Lambda, ell_l, ell_r, big), rule\n",
            "        try:\n"
-           "            return lam, mu, _sewing(lam, mu, Lambda, p, big), rule\n"
+           "            return lam, mu, _sewing(lam, mu, Lambda, ell_l, ell_r, big), rule\n"
            "        except BranchingError:\n"
            "            return lam, mu, 0, rule\n",
            "a bullet whose exponent fails the check is listed anyway"),

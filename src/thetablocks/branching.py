@@ -17,23 +17,12 @@ class BranchingError(ValueError):
     """Inconsistent branching data (bad exponent or inadmissible pair)."""
 
 
-class EmbeddingParams(Frozen):
-    __slots__ = ("r", "s")
-
-    def __init__(self, r: int, s: int):
-        require_rank(r)
-        require_rank(s, "s")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-
-    @property
-    def d(self) -> int:
-        return 2 * self.r * self.s + self.r + self.s
-
-    @property
-    def levels(self) -> tuple[int, int]:
-        """(level of so(2r+1), level of so(2s+1)) = the Dynkin multi-index."""
-        return (2 * self.s + 1, 2 * self.r + 1)
+def embedding(r: int, s: int) -> tuple[int, int, int]:
+    """(d, level of so(2r+1), level of so(2s+1)): d = 2rs + r + s, and the
+    levels are the Dynkin multi-index (2s+1, 2r+1)."""
+    require_rank(r)
+    require_rank(s, "s")
+    return 2 * r * s + r + s, 2 * s + 1, 2 * r + 1
 
 
 def _check_level(d: tuple[int, ...], ell: int) -> None:
@@ -97,21 +86,21 @@ class BranchTriple(Frozen):
 def sewing_exponent(lam: Weight, mu: Weight, Lambda: str, r: int, s: int) -> int:
     """m = Delta_lam + Delta_mu - Delta_Lambda; a branching pair must give a
     nonnegative integer."""
-    p = EmbeddingParams(r, s)
-    check_weight(lam, r, p.levels[0])
-    check_weight(mu, s, p.levels[1])
-    return _sewing(lam.d, mu.d, Lambda, p)
+    d, ell_l, ell_r = embedding(r, s)
+    check_weight(lam, r, ell_l)
+    check_weight(mu, s, ell_r)
+    return _sewing(lam.d, mu.d, Lambda, ell_l, ell_r, _anomaly(_lambda_dbl(Lambda, d), 1))
 
 
-def _sewing(lam, mu, Lambda, p: EmbeddingParams, big=None) -> int:
-    """sewing_exponent on doubled coordinates, with Delta_Lambda given as
-    `big` = _anomaly(...) when the caller already has it.  The exponent is
+def _sewing(lam, mu, Lambda, ell_l: int, ell_r: int, big) -> int:
+    """sewing_exponent on doubled coordinates at the levels ell_l and ell_r,
+    with Delta_Lambda given as `big` = _anomaly(...).  The exponent is
     one int numerator over the product of the three anomaly denominators:
     for weights of ranks r and s both factors have h_vee + ell = 2(r + s),
     and so(2d+1) at level one 2d."""
-    nl, dl = _anomaly(lam, p.levels[0])
-    nm, dm = _anomaly(mu, p.levels[1])
-    nL, dL = big if big is not None else _anomaly(_lambda_dbl(Lambda, p.d), 1)
+    nl, dl = _anomaly(lam, ell_l)
+    nm, dm = _anomaly(mu, ell_r)
+    nL, dL = big
     den = dl * dm * dL
     num = (nl * dm + nm * dl) * dL - nL * dl * dm
     if num < 0 or num % den:
@@ -140,14 +129,13 @@ def _bullets(Lambda: str, r: int, s: int):
     with the sigma-twist on the left for Y in the (s-1)-column box and on the
     right otherwise.
     """
-    p = EmbeddingParams(r, s)
-    ell_l, ell_r = p.levels
+    d, ell_l, ell_r = embedding(r, s)
     if Lambda not in LAMBDA_LABELS:
         raise ValueError(f"Lambda label must be one of {LAMBDA_LABELS}")
-    big = _anomaly(_lambda_dbl(Lambda, p.d), 1)
+    big = _anomaly(_lambda_dbl(Lambda, d), 1)
 
     def bullet(lam, mu, rule):
-        return lam, mu, _sewing(lam, mu, Lambda, p, big), rule
+        return lam, mu, _sewing(lam, mu, Lambda, ell_l, ell_r, big), rule
 
     if Lambda in ("0", "1"):
         want_parity = 0 if Lambda == "0" else 1
@@ -213,7 +201,7 @@ def ranklevel_report(
     fusion tables are read from it and saved back to it, if they gained
     rows, before returning.
     """
-    p = EmbeddingParams(r, s)
+    d, ell_l, ell_r = embedding(r, s)
     source = tuple(source)
     target = tuple(target)
     Lambdas = tuple(Lambdas)
@@ -234,12 +222,12 @@ def ranklevel_report(
             certs.append(rule)
     from .fusion import FusionTable, LevelOneTable  # only a report uses fusion
 
-    ring_l = FusionTable(r, p.levels[0], cache_dir)
-    ring_r = FusionTable(s, p.levels[1], cache_dir)
-    ring_1 = LevelOneTable(p.d)
+    ring_l = FusionTable(r, ell_l, cache_dir)
+    ring_r = FusionTable(s, ell_r, cache_dir)
+    ring_1 = LevelOneTable(d)
     dim_source = ring_l.dim_genus0(source)
     dim_target = ring_r.dim_genus0(target)
-    dim_level1 = ring_1.dim_genus0([lambda_weight(L, p.d) for L in Lambdas])
+    dim_level1 = ring_1.dim_genus0([lambda_weight(L, d) for L in Lambdas])
     ring_l.save()
     ring_r.save()
     return RankLevelReport(

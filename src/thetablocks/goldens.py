@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from itertools import combinations_with_replacement
 
 # table: the so(5) level-3 FusionTable of the dual-oracle row
 Context = namedtuple("Context", "table cache_dir")
@@ -71,16 +70,11 @@ def _ranklevel(n, ctx):
 
 
 def _dual_oracle(ctx):
-    """The triples on which the Kac-Walton table and the Verlinde formula
-    over F_p disagree, every triple joined at once by `verlinde_dims`.  Both
-    are symmetric in the three weights (the S3 symmetry of
-    FusionTable.triple is tested), so the unordered triples cover the set."""
-    from .verlinde import verlinde_dims
+    """The entries of the so(5) level-3 Kac-Walton rows that disagree with
+    the Verlinde formula over F_p, by `verlinde.table_mismatches`."""
+    from .verlinde import table_mismatches
 
-    tab = ctx.table
-    triples = list(combinations_with_replacement(tab.weights(), 3))
-    dims = verlinde_dims(0, triples, tab.rank, tab.level)
-    return tuple(t for t, n in zip(triples, dims) if tab.triple(*t) != n)
+    return tuple(table_mismatches(ctx.table))
 
 
 def _bad_sewing(ctx):

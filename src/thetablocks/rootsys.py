@@ -54,7 +54,7 @@ class Frozen:
     memo slots stay out of the value.  Value semantics come from `_key()`,
     the fields unless a subclass narrows it: two objects of the same class
     are equal when their keys are, and hash as their key; the repr names
-    every field."""
+    every field.  The fields are the constructor's arguments, in order."""
 
     __slots__ = ()
 
@@ -84,10 +84,12 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state):
-        # copy and pickle hand back (None, {slot: value})
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, from the fields
+        # even where `_key` narrows them, so checks, derived slots and memo
+        # slots come out as at construction: a stored hash of strings holds
+        # only in the process that computed it
+        return self.__class__, Frozen._key(self)
 
 
 @total_ordering

@@ -18,7 +18,9 @@ queries at once: for `verlinde_dims` and `dim_trig` over every column and for
 the Oxbury-Wilson sums of `n0_oxbury` over the SO-weights.  `_admitted` is
 the one admission of `verlinde_dims` and `dim_trig`: rank, genus, weights and
 the magnitude bound.  `verlinde_dims` joins many values under one bound and
-`n0_oxbury` one; neither evaluates a sine.
+`n0_oxbury` one; neither evaluates a sine.  `table_mismatches` is the one
+check of a whole fusion ring against the formula: every entry of its
+product rows against one `verlinde_dims` batch.
 
 `dim_trig` then confirms its join by the same sum over the reals.  There E is
 (2i)^r times the sine determinant, so
@@ -423,6 +425,29 @@ def verlinde_dims(g: int, queries, r: int, ell: int) -> list[int]:
     sine is evaluated."""
     bound, columns = _admitted(g, queries, r, ell)
     return _joined(bound, r, ell, g, queries, columns)
+
+
+def table_mismatches(ring) -> list:
+    """The Verlinde certificate of a fusion ring of so(2r+1) at level ell:
+    (lam, mu, nu, fusion N, Verlinde N) for each entry N_{lam mu}^nu of its
+    product rows, one row per unordered pair, that differs from the
+    genus-0 Verlinde number of (lam, mu, nu) over F_p.  The ring needs only
+    `weights()`, `product(lam, mu)`, `rank` and `level`.  Every weight of
+    so(2r+1) is self-dual, so N_{lam mu}^nu is that three-point number, and
+    the Verlinde sum is symmetric in its weights: the unordered triples
+    cover every entry, and `verlinde_dims` joins them in one batch."""
+    ws = ring.weights()
+    triples = list(itertools.combinations_with_replacement(range(len(ws)), 3))
+    dims = verlinde_dims(0, [[ws[i] for i in t] for t in triples], ring.rank, ring.level)
+    verlinde = dict(zip(triples, dims))
+    out = []
+    for i, j in itertools.combinations_with_replacement(range(len(ws)), 2):
+        row = ring.product(ws[i], ws[j])
+        for k, nu in enumerate(ws):
+            n, want = row.get(nu, 0), verlinde[tuple(sorted((i, j, k)))]
+            if n != want:
+                out.append((ws[i], ws[j], nu, n, want))
+    return out
 
 
 def twisted_total(g: int, r: int, ell: int) -> int:

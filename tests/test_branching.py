@@ -8,10 +8,10 @@ from thetablocks import branching
 from thetablocks.branching import (
     BranchTriple,
     BranchingError,
-    EmbeddingParams,
     _anomaly,
     _rule_table,
     branch_pairs,
+    embedding,
     lambda_weight,
     ranklevel_example,
     ranklevel_report,
@@ -32,11 +32,11 @@ def _ref_trace_anomaly(lam, ell):
 
 
 def _ref_sewing(lam, mu, Lambda, r, s):
-    p = EmbeddingParams(r, s)
+    d, ell_l, ell_r = embedding(r, s)
     return (
-        _ref_trace_anomaly(lam, p.levels[0])
-        + _ref_trace_anomaly(mu, p.levels[1])
-        - _ref_trace_anomaly(lambda_weight(Lambda, p.d), 1)
+        _ref_trace_anomaly(lam, ell_l)
+        + _ref_trace_anomaly(mu, ell_r)
+        - _ref_trace_anomaly(lambda_weight(Lambda, d), 1)
     )
 
 
@@ -47,31 +47,20 @@ def is_conformal(r, s, index=None):
 
     with so(n) of dimension n(n-1)/2 and dual Coxeter number n - 2, and
     Dynkin multi-index d = (2s+1, 2r+1) for the tensor embedding."""
-    p = EmbeddingParams(r, s)
-    d1, d2 = index if index is not None else p.levels
+    d, *levels = embedding(r, s)
+    d1, d2 = index if index is not None else levels
 
-    def term(n, d):
-        return F(d * n * (n - 1) // 2, n - 2 + d)
+    def term(n, k):
+        return F(k * n * (n - 1) // 2, n - 2 + k)
 
-    return term(2 * r + 1, d1) + term(2 * s + 1, d2) == term(2 * p.d + 1, 1)
+    return term(2 * r + 1, d1) + term(2 * s + 1, d2) == term(2 * d + 1, 1)
 
 
 class TestEmbedding:
     def test_params(self):
-        p = EmbeddingParams(2, 3)
-        assert p.d == 17
-        assert p.levels == (7, 5)
-        assert (2 * 2 + 1) * (2 * 3 + 1) == 2 * p.d + 1
-
-    def test_value_semantics(self):
-        p = EmbeddingParams(2, 3)
-        assert p == EmbeddingParams(2, 3) and hash(p) == hash(EmbeddingParams(2, 3))
-        assert p != EmbeddingParams(3, 2) and p != (2, 3)
-        assert repr(p) == "EmbeddingParams(r=2, s=3)"
-        with pytest.raises(AttributeError):
-            p.r = 3
-        with pytest.raises(AttributeError):
-            del p.s
+        d, ell_l, ell_r = embedding(2, 3)
+        assert (d, ell_l, ell_r) == (17, 7, 5)
+        assert (2 * 2 + 1) * (2 * 3 + 1) == 2 * d + 1
 
     @pytest.mark.parametrize("r,s", [(2, 2), (2, 3), (3, 4), (4, 3), (5, 2)])
     def test_conformal(self, r, s):

@@ -1,6 +1,10 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +206,25 @@ class TestFockState:
         for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
             assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
             assert twin.energy2 == a.energy2 == 2
+
+    def test_a_state_pickled_under_another_hash_seed_keys_the_same_dict_entry(self):
+        # the hash covers the sector string, whose hash depends on the seed
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        state = "from thetablocks.fock.states import NS, FockState\n" \
+                "state = FockState(NS, ((-1, 1, 0),))\n"
+
+        def run(seed, code, stdin=None):
+            return subprocess.run(
+                [sys.executable, "-c", state + code], input=stdin, capture_output=True,
+                check=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            ).stdout
+
+        blob = run("1", "import pickle, sys; sys.stdout.buffer.write(pickle.dumps(state))")
+        out = run("2", "import pickle, sys\n"
+                       "twin = pickle.loads(sys.stdin.buffer.read())\n"
+                       "print(twin == state, hash(twin) == hash(state), twin in {state: 1})",
+                  stdin=blob)
+        assert out.split() == [b"True", b"True", b"True"]
 
 
 class TestBilinearOp:

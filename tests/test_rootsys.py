@@ -1,5 +1,6 @@
 import ast
 import copy
+import inspect
 import itertools
 import operator
 import pickle
@@ -10,7 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetablocks.branching import BranchTriple
+from thetablocks.fock.operators import BilinearOp, SlotExpression
+from thetablocks.fock.states import NS, R, FockState, FockVector, vacuum
 from thetablocks.rootsys import (
+    Frozen,
     RankError,
     Weight,
     _dbl_positive_roots,
@@ -20,7 +25,7 @@ from thetablocks.rootsys import (
     weyl_dim,
     weyl_orbit_dbl,
 )
-from thetablocks.weights import enumerate_level
+from thetablocks.weights import YoungDiagram, enumerate_level
 
 from reference import doubled, enumerate_level_fractions, from_omega, omega_coords, orbit_size
 
@@ -308,3 +313,49 @@ class TestOneValueClassIdiom:
                     if name.split(".")[0] == "dataclasses" or name == "cached_property":
                         found.append(f"{path.relative_to(src)}:{node.lineno}: {name}")
         assert found == []
+
+
+def _one_of_each_value_class() -> list:
+    """An instance of every `Frozen` subclass of the program, the
+    SlotExpression with its memo slots filled."""
+    op = BilinearOp((1, 0), (0, -1), -1)
+    expr = SlotExpression((op, op), FockVector.unit(vacuum(NS)))
+    expr.value()
+    return [
+        Weight.parse("5/2,1/2"),
+        YoungDiagram((3, 1)),
+        BranchTriple(Weight.parse("1,0"), Weight.parse("1,0,0"), "1", 0, "(Y, Y^T) with Y=[1]"),
+        op,
+        expr,
+        FockState(R, ((-2, 1, 1), (0, -1, 0)), dual=True),
+    ]
+
+
+class TestFrozenRoundTrips:
+    """Copy and pickle rebuild a `Frozen` value through its constructor."""
+
+    def test_every_value_class_is_covered(self):
+        assert {type(v) for v in _one_of_each_value_class()} == set(Frozen.__subclasses__())
+
+    def test_the_fields_are_the_constructor_arguments(self):
+        for cls in Frozen.__subclasses__():
+            params = tuple(inspect.signature(cls.__init__).parameters)
+            assert params == ("self", *cls._fields), cls
+
+    @pytest.mark.parametrize("twin_of", [copy.copy, copy.deepcopy,
+                                         lambda v: pickle.loads(pickle.dumps(v))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_deepcopy_and_pickle(self, twin_of):
+        values = _one_of_each_value_class()
+        for v in values:
+            twin = twin_of(v)
+            assert type(twin) is type(v) and twin == v
+            assert hash(twin) == hash(v) and repr(twin) == repr(v)
+            memo = {"_value", "_tail"} if isinstance(v, SlotExpression) else set()
+            for name in set(type(v).__slots__) - memo:
+                assert getattr(twin, name) == getattr(v, name), (v, name)
+            for name in memo:  # rebuilt, not copied
+                assert getattr(twin, name) is None
+        # the rebuilt memo computes the same value
+        [expr] = [v for v in values if isinstance(v, SlotExpression)]
+        assert twin_of(expr).value() == expr.value()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetablocks import goldens, verlinde
-from thetablocks.branching import RANKLEVEL_EXAMPLES, EmbeddingParams, lambda_weight
+from thetablocks.branching import RANKLEVEL_EXAMPLES, embedding, lambda_weight
 from thetablocks.common import theta_counts
 from thetablocks.fusion import FusionTable, LevelOneTable
 from thetablocks.rootsys import Weight
@@ -479,13 +479,14 @@ class TestMagnitudeBound:
         for row in golden_rows("rank-level failure"):
             (n,) = row.compute.args
             cfg = RANKLEVEL_EXAMPLES[n]
-            p = EmbeddingParams(cfg["r"], cfg["s"])
+            r, s = cfg["r"], cfg["s"]
+            d, ell_l, ell_r = embedding(r, s)
             source, target = ([Weight.parse(w) for w in cfg[side].split(";")]
                               for side in ("source", "target"))
-            level1 = [lambda_weight(label, p.d) for label in cfg["Lambdas"]]
-            assert (self._bounded(_ring(p.r, p.levels[0]), 0, source),
-                    self._bounded(_ring(p.s, p.levels[1]), 0, target),
-                    self._bounded(LevelOneTable(p.d), 0, level1)) == row.want
+            level1 = [lambda_weight(label, d) for label in cfg["Lambdas"]]
+            assert (self._bounded(_ring(r, ell_l), 0, source),
+                    self._bounded(_ring(s, ell_r), 0, target),
+                    self._bounded(LevelOneTable(d), 0, level1)) == row.want
         table = _ring(2, 3)
         for t in itertools.combinations_with_replacement(table.weights(), 3):
             assert self._bounded(table, 0, t) == table.triple(*t)
@@ -502,19 +503,18 @@ class TestMagnitudeBound:
 
 
 class TestWholeTables:
-    """scripts/dual_oracle_sweep.py's whole-table phase on two 34-36 weight
-    rings: every entry of every FusionTable row against the Verlinde formula
-    over F_p."""
+    """`verlinde.table_mismatches`, the one Verlinde certificate of a fusion
+    ring: every entry of every product row against the Verlinde formula
+    over F_p, on two 34-36 weight FusionTables and on the closed level-one
+    rings."""
 
     def test_so5_level7_and_so7_level5_agree(self):
-        sweep = script("dual_oracle_sweep")
         start = time.perf_counter()
-        assert sweep.table_mismatches(2, 7) == []
-        assert sweep.table_mismatches(3, 5) == []
+        assert verlinde.table_mismatches(FusionTable(2, 7)) == []
+        assert verlinde.table_mismatches(FusionTable(3, 5)) == []
         assert time.perf_counter() - start < 1.0
 
     def test_a_wrong_entry_is_reported(self, monkeypatch):
-        sweep = script("dual_oracle_sweep")
         real = verlinde._residue_sums
         zero, a = Weight.zero(2), Weight.parse("1,0")
         wrong = sorted([zero, a, a])
@@ -525,7 +525,27 @@ class TestWholeTables:
                     zip(real(res, p, g, queries, columns), queries)]
 
         monkeypatch.setattr(verlinde, "_residue_sums", off_by_one)
-        assert sweep.table_mismatches(2, 3) == [(zero, a, a, 1, 2), (a, a, zero, 1, 2)]
+        assert verlinde.table_mismatches(FusionTable(2, 3)) == [
+            (zero, a, a, 1, 2), (a, a, zero, 1, 2)]
+
+    # d = 17 is the level-one ring of rank-level example 1, d = 31 that of
+    # examples 2 and 3
+    @pytest.mark.parametrize("d", [2, 3, 17, 31])
+    def test_the_level_one_rings_agree(self, d):
+        assert verlinde.table_mismatches(LevelOneTable(d)) == []
+
+    def test_a_level_one_ring_without_a_rule_is_reported(self):
+        class DropsOmega1(LevelOneTable):
+            """omega_d x omega_d = omega_0 only."""
+
+            def product(self, lam, mu):
+                if lam == mu == self._wd:
+                    return {self._w0: 1}
+                return super().product(lam, mu)
+
+        ring = DropsOmega1(3)
+        _, w1, wd = ring.weights()
+        assert verlinde.table_mismatches(ring) == [(wd, wd, w1, 0, 1)]
 
 
 class TestOxbury:
